@@ -4,9 +4,16 @@ The background box is split into cubes and every cube into the six path
 tetrahedra along its main diagonal; all cubes use the same diagonal, so the
 decomposition is conforming.  The zero set of the piecewise linear
 interpolant of a level function cuts each tetrahedron in a triangle or a
-planar quadrilateral.  Quadrilaterals are bisected along the diagonal that
-minimizes the larger maximum interior angle, the triangulation is oriented
-consistently outward, and full edge connectivity is wired up.
+planar quadrilateral, read off a marching-tetrahedra case table indexed by
+the number of negative corners.  Quadrilaterals are bisected along the
+diagonal that minimizes the larger maximum interior angle, and full edge
+connectivity is wired up.  Every step is a pass over whole arrays.
+
+Facets are oriented by construction: each normal points to the psi > 0 side
+of its parent tetrahedron, so a level function that is positive outside (a
+signed distance) gives outward normals without any search over the mesh.
+``TraceMesh.from_arrays`` checks that a hand-built soup is closed, connected
+and consistently oriented, but does not repair it.
 
 Cut vertices are deduplicated by the background edge that carries them (not
 by floating-point position), so shared facets are exactly conforming and
@@ -16,7 +23,6 @@ repeated runs are bit-reproducible.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +34,7 @@ __all__ = [
     "build_bulk_mesh",
     "RawTraceSurface",
     "extract_trace_surface",
-    "split_quad",
+    "split_quads",
     "bisect_quads",
     "TraceMesh",
     "MeshStats",
@@ -49,6 +55,23 @@ ZERO_VALUE_SHIFT = 1e-4
 # Cut quadrilaterals are zero sets of affine functions and hence exactly
 # planar; the bisection asserts this within an absolute tolerance.
 PLANARITY_TOL = 1e-10
+
+# Marching-tetrahedra case table.  With the corners of a cut tetrahedron
+# sorted negative first (each group in tetrahedron order), row k - 1 lists
+# the corner pairs whose edges carry the cut points when k corners are
+# negative, in the cyclic order of the cut polygon.  Triangles leave the
+# last slot unused.  In the 2 | 2 case consecutive cut edges share a
+# tetrahedron face, so the quadrilateral does not cross itself.
+_CUT_PAIRS = np.array(
+    [
+        [[0, 1], [0, 2], [0, 3], [0, 1]],  # the lone negative corner against the rest
+        [[0, 2], [0, 3], [1, 3], [1, 2]],
+        [[3, 0], [3, 1], [3, 2], [3, 0]],  # the lone positive corner against the rest
+    ]
+)
+
+# The two bisections of a quadrilateral 0-1-2-3: along diagonal 0-2, then 1-3.
+_QUAD_SPLITS = np.array([[[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]])
 
 
 @dataclass(frozen=True)
@@ -73,40 +96,40 @@ def build_bulk_mesh(box, n: int) -> BulkMesh:
     if np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("degenerate bounding box")
     axes = [np.linspace(lo, hi, n + 1) for lo, hi in box]
-    grid = np.meshgrid(*axes, indexing="ij")
-    vertices = np.stack(grid, axis=-1).reshape(-1, 3)
+    vertices = np.empty((n + 1, n + 1, n + 1, 3))
+    vertices[..., 0] = axes[0][:, None, None]
+    vertices[..., 1] = axes[1][:, None]
+    vertices[..., 2] = axes[2]
 
     idx = np.arange(n)
-    ii, jj, kk = np.meshgrid(idx, idx, idx, indexing="ij")
-    base = ((ii * (n + 1) + jj) * (n + 1) + kk).ravel()
+    base = ((idx[:, None, None] * (n + 1) + idx[:, None]) * (n + 1) + idx).ravel()
     stride = np.array([(n + 1) * (n + 1), n + 1, 1])
 
-    chunks = []
-    for perm in itertools.permutations(range(3)):
+    cubes = len(base)
+    tets = np.empty((6 * cubes, 4), dtype=base.dtype)
+    for k, perm in enumerate(itertools.permutations(range(3))):
         offsets = np.zeros((4, 3), dtype=int)
-        step = np.zeros(3, dtype=int)
         for m, axis in enumerate(perm):
-            step = step.copy()
-            step[axis] = 1
-            offsets[m + 1] = step
+            offsets[m + 1 :, axis] = 1
         corner = offsets @ stride
-        tet = base[:, None] + corner[None, :]
         if _perm_sign(perm) < 0:
-            tet = tet[:, [0, 1, 3, 2]]
-        chunks.append(tet)
-    tets = np.concatenate(chunks, axis=0)
+            corner = corner[[0, 1, 3, 2]]
+        np.add(base[:, None], corner, out=tets[k * cubes : (k + 1) * cubes])
     spacing = (box[:, 1] - box[:, 0]) / n
-    return BulkMesh(vertices=vertices, tets=tets, h_bulk=float(np.linalg.norm(spacing)))
+    return BulkMesh(
+        vertices=vertices.reshape(-1, 3), tets=tets, h_bulk=float(np.linalg.norm(spacing))
+    )
 
 
 @dataclass
 class RawTraceSurface:
     """Per-tetrahedron cut polygons before quad bisection."""
 
-    vertices: np.ndarray           # (W, 3) cut points, one per cut background edge
-    faces: list[tuple[int, ...]]   # length-3 or length-4 vertex index tuples
-    parent_tet: np.ndarray         # (len(faces),) background element of each polygon
-    values: np.ndarray             # (V,) perturbed level values actually cut
+    vertices: np.ndarray    # (W, 3) cut points, one per cut background edge
+    faces: np.ndarray       # (C, 4) cut points in cyclic order; -1 in column 3 for triangles
+    parent_tet: np.ndarray  # (C,) background element of each polygon
+    inward: np.ndarray      # (C,) True where that cyclic order faces the psi < 0 side
+    values: np.ndarray      # (V,) perturbed level values actually cut
 
 
 def extract_trace_surface(bulk: BulkMesh, psi) -> RawTraceSurface:
@@ -116,7 +139,9 @@ def extract_trace_surface(bulk: BulkMesh, psi) -> RawTraceSurface:
     per-vertex values (ordering = bulk vertex order).  Vertex values within
     ``ZERO_VALUE_SHIFT * h_bulk`` of zero are shifted positive first, which
     makes the sign patterns exhaustive: one vertex against three yields a
-    triangle, two against two a planar quadrilateral.
+    triangle, two against two a planar quadrilateral.  Each polygon records
+    whether its cyclic order must be reversed for its normal to point to the
+    psi > 0 side of its tetrahedron.
     """
     if callable(psi):
         values = np.asarray(psi(bulk.vertices), dtype=float)
@@ -130,128 +155,99 @@ def extract_trace_surface(bulk: BulkMesh, psi) -> RawTraceSurface:
     values = np.where(np.abs(values) < tiny, tiny, values)
 
     neg = values < 0.0
-    counts = neg[bulk.tets].sum(axis=1)
-    cut_ids = np.nonzero((counts > 0) & (counts < 4))[0]
+    signs = np.ascontiguousarray(neg[bulk.tets])
+    # the four sign bytes of a tetrahedron read as one word: cut unless all equal
+    pattern = signs.view(np.uint32)[:, 0]
+    cut_ids = np.nonzero((pattern != 0) & (pattern != 0x01010101))[0]
+    n_minus = signs[cut_ids].sum(axis=1)
+    corners = bulk.tets[cut_ids]
+    rows = np.arange(len(corners))[:, None]
+    corners = corners[rows, np.argsort(~neg[corners], axis=1, kind="stable")]
+    ends = corners[rows[:, :, None], _CUT_PAIRS[n_minus - 1]]
+    lo, hi = ends.min(axis=2), ends.max(axis=2)
 
-    positions: list[np.ndarray] = []
-    by_edge: dict[tuple[int, int], int] = {}
+    # Number the cut edges by first use, polygon by polygon: one point per edge.
+    used = np.ones(lo.shape, dtype=bool)
+    used[:, 3] = n_minus == 2
+    n_bulk = len(bulk.vertices)
+    edge_keys, first, inverse = np.unique(
+        (lo * n_bulk + hi)[used], return_index=True, return_inverse=True
+    )
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    faces = np.full(lo.shape, -1)
+    faces[used] = rank[inverse]
+
+    a, b = np.divmod(edge_keys[by_first], n_bulk)
+    s = values[a] / (values[a] - values[b])
     verts = bulk.vertices
+    points = verts[a] + s[:, None] * (verts[b] - verts[a])
 
-    def cut_point(a: int, b: int) -> int:
-        lo, hi = (a, b) if a < b else (b, a)
-        idx = by_edge.get((lo, hi))
-        if idx is None:
-            s = values[lo] / (values[lo] - values[hi])
-            positions.append(verts[lo] + s * (verts[hi] - verts[lo]))
-            idx = len(positions) - 1
-            by_edge[(lo, hi)] = idx
-        return idx
-
-    faces: list[tuple[int, ...]] = []
-    parents: list[int] = []
-    for t in cut_ids:
-        corners = bulk.tets[t]
-        minus = [int(g) for g in corners if neg[g]]
-        plus = [int(g) for g in corners if not neg[g]]
-        if len(minus) == 1 or len(plus) == 1:
-            lone, rest = (minus[0], plus) if len(minus) == 1 else (plus[0], minus)
-            face = (cut_point(lone, rest[0]), cut_point(lone, rest[1]), cut_point(lone, rest[2]))
-        else:
-            a, b = minus
-            c, d = plus
-            # Consecutive cut edges share a tetrahedron face, so this cyclic
-            # order traces the planar quadrilateral without self-crossing.
-            face = (cut_point(a, c), cut_point(a, d), cut_point(b, d), cut_point(b, c))
-        faces.append(face)
-        parents.append(int(t))
+    # Twice the vector area of each polygon (for a triangle the last corner
+    # repeats the first), tested against the corner with the largest value,
+    # which lies farthest on the psi > 0 side of the cut plane.
+    p = points[np.where(used, faces, faces[:, :1])]
+    area = np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 1])
+    top = corners[rows[:, 0], np.argmax(values[corners], axis=1)]
+    inward = np.einsum("ci,ci->c", area, verts[top] - p[:, 0]) < 0.0
 
     return RawTraceSurface(
-        vertices=np.array(positions) if positions else np.zeros((0, 3)),
-        faces=faces,
-        parent_tet=np.array(parents, dtype=int),
-        values=values,
+        vertices=points, faces=faces, parent_tet=cut_ids, inward=inward, values=values
     )
 
 
-def _max_interior_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    worst = 0.0
-    for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
-        u, v = q - p, r - p
-        cosang = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
-        worst = max(worst, float(np.arccos(np.clip(cosang, -1.0, 1.0))))
-    return worst
+def _max_interior_angles(p: np.ndarray) -> np.ndarray:
+    """Largest interior angle of each triangle of a (F, 3, 3) corner array."""
+    angles = np.empty((len(p), 3))
+    for k in range(3):
+        u = p[:, (k + 1) % 3] - p[:, k]
+        v = p[:, (k + 2) % 3] - p[:, k]
+        cosang = np.einsum("fi,fi->f", u, v) / (
+            np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
+        )
+        angles[:, k] = np.arccos(np.clip(cosang, -1.0, 1.0))
+    return angles.max(axis=1)
 
 
-def split_quad(points: np.ndarray, ids: tuple[int, ...]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Bisect a planar quadrilateral given in cyclic order.
+def split_quads(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Bisect planar quadrilaterals given in cyclic order.
 
-    Chooses the diagonal minimizing the larger of the two resulting maximum
-    interior angles; exact ties (within 1e-12) go to the diagonal with the
-    lexicographically smaller vertex-index pair.
+    ``points`` is (Q, 4, 3) and ``ids`` the (Q, 4) vertex ids; returns the
+    (Q, 2, 3) ids of the two triangles of each quadrilateral, in its cyclic
+    orientation.  Each quadrilateral is split along the diagonal minimizing
+    the larger of the two resulting maximum interior angles; exact ties
+    (within 1e-12) go to the diagonal with the lexicographically smaller
+    vertex-index pair.  Raises ``RuntimeError`` on a non-planar one.
     """
     p = np.asarray(points, dtype=float)
-    split_a = ((0, 1, 2), (0, 2, 3))
-    split_b = ((0, 1, 3), (1, 2, 3))
-    worst_a = max(_max_interior_angle(*p[list(tri)]) for tri in split_a)
-    worst_b = max(_max_interior_angle(*p[list(tri)]) for tri in split_b)
-    if worst_a < worst_b - 1e-12:
-        pick = split_a
-    elif worst_b < worst_a - 1e-12:
-        pick = split_b
-    else:
-        diag_a = tuple(sorted((ids[0], ids[2])))
-        diag_b = tuple(sorted((ids[1], ids[3])))
-        pick = split_a if diag_a < diag_b else split_b
-    return tuple(tuple(ids[k] for k in tri) for tri in pick)
+    ids = np.asarray(ids, dtype=int)
+    diag_cross = np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 1])
+    nrm = np.linalg.norm(diag_cross, axis=-1)
+    nrm[nrm <= 1e-300] = np.inf
+    defect = np.abs(np.einsum("qi,qi->q", p[:, 1] - p[:, 0], diag_cross / nrm[:, None]))
+    bad = np.flatnonzero(defect > PLANARITY_TOL)
+    if len(bad):
+        raise RuntimeError(f"cut quadrilateral is not planar (defect {defect[bad[0]]:.3e})")
 
-
-def _orient_consistently(triangles: np.ndarray) -> np.ndarray:
-    """Flip triangles so every shared edge is traversed in opposite directions."""
-    tri = triangles.copy()
-    edge_map: dict[tuple[int, int], list[int]] = {}
-    for f, (a, b, c) in enumerate(tri):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edge_map.setdefault(key, []).append(f)
-    for key, fs in edge_map.items():
-        if len(fs) != 2:
-            raise RuntimeError(f"non-manifold surface: edge {key} borders {len(fs)} facet(s)")
-
-    def directed(f: int) -> tuple[tuple[int, int], ...]:
-        a, b, c = tri[f]
-        return ((a, b), (b, c), (c, a))
-
-    seen = np.zeros(len(tri), dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        f = queue.popleft()
-        for u, v in directed(f):
-            key = (u, v) if u < v else (v, u)
-            for g in edge_map[key]:
-                if g == f:
-                    continue
-                if not seen[g]:
-                    if (u, v) in directed(g):
-                        tri[g, 1], tri[g, 2] = tri[g, 2], tri[g, 1]
-                    seen[g] = True
-                    queue.append(g)
-                elif (u, v) in directed(g):
-                    raise RuntimeError("surface is not orientable")
-    if not seen.all():
-        raise RuntimeError("surface is not connected")
-    return tri
+    worst = _max_interior_angles(p[:, _QUAD_SPLITS].reshape(-1, 3, 3)).reshape(-1, 2, 2).max(axis=2)
+    worst_a, worst_b = worst[:, 0], worst[:, 1]
+    # the diagonals share no vertex, so their smaller ids decide the tie
+    a_is_lower = np.minimum(ids[:, 0], ids[:, 2]) < np.minimum(ids[:, 1], ids[:, 3])
+    pick_b = (worst_b < worst_a - 1e-12) | (~(worst_a < worst_b - 1e-12) & ~a_is_lower)
+    return ids[np.arange(len(ids))[:, None, None], _QUAD_SPLITS[pick_b.astype(int)]]
 
 
 @dataclass(frozen=True)
 class TraceMesh:
     """Conforming triangulation of an extracted level surface.
 
-    Triangles are stored counterclockwise with respect to the outward facet
-    normals.  Edges are stored with increasing vertex indices; for each edge
-    the first adjacent face is the one traversing it in that direction
-    (``face_edge_signs`` records the per-facet agreement, one sign per local
-    edge).  Treated as immutable by all consumers.
+    Triangles are stored counterclockwise with respect to the facet normals;
+    for an extracted mesh these point to the psi > 0 side of each parent
+    tetrahedron by construction.  Edges are stored with increasing vertex
+    indices; for each edge the first adjacent face is the one traversing it
+    in that direction (``face_edge_signs`` records the per-facet agreement,
+    one sign per local edge).  Treated as immutable by all consumers.
     """
 
     vertices: np.ndarray           # (V, 3)
@@ -261,7 +257,7 @@ class TraceMesh:
     edge_local: np.ndarray         # (E, 2): local edge index within those faces
     face_edges: np.ndarray         # (F, 3): global edge id of each local edge
     face_edge_signs: np.ndarray    # (F, 3): +1 if local direction has increasing ids
-    face_normals: np.ndarray       # (F, 3) outward unit normals
+    face_normals: np.ndarray       # (F, 3) unit normals, by the vertex order
     h: float                       # maximum triangle diameter
     parent_tet: np.ndarray         # (F,) background element, -1 if not applicable
 
@@ -292,113 +288,109 @@ class TraceMesh:
         return self.corner_points().mean(axis=1)
 
     def max_interior_angles(self) -> np.ndarray:
-        p = self.corner_points()
-        angles = np.empty((self.n_triangles, 3))
-        for k in range(3):
-            u = p[:, (k + 1) % 3] - p[:, k]
-            v = p[:, (k + 2) % 3] - p[:, k]
-            cosang = np.einsum("fi,fi->f", u, v) / (
-                np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
-            )
-            angles[:, k] = np.arccos(np.clip(cosang, -1.0, 1.0))
-        return angles.max(axis=1)
+        return _max_interior_angles(self.corner_points())
 
     @staticmethod
     def from_arrays(
         vertices: np.ndarray,
         triangles: np.ndarray,
-        surface: SurfaceField | None = None,
         parent_tet: np.ndarray | None = None,
     ) -> "TraceMesh":
-        """Wire up a closed triangle soup: orientation, normals, connectivity.
+        """Wire up a closed, connected, consistently oriented triangle soup.
 
-        Outwardness is decided against the surface normal field when given,
-        otherwise against rays from the mesh centroid.
+        The vertex order of every triangle is kept and fixes its normal;
+        nothing is flipped.  Raises ``RuntimeError`` when an edge does not
+        border exactly two facets, when two facets traverse their shared edge
+        in the same direction, or when the surface is disconnected, and
+        ``ValueError`` on a facet of zero area.
         """
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=int)
-        triangles = _orient_consistently(triangles)
+        n_faces = len(triangles)
+        if n_faces == 0:
+            raise RuntimeError("empty surface")
+        # local edge k is the one opposite corner k, traversed from u to v
+        u = triangles[:, [1, 2, 0]].ravel()
+        v = triangles[:, [2, 0, 1]].ravel()
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        agree = u < v
+        order = np.lexsort((~agree, hi, lo))
+        new_edge = np.flatnonzero((np.diff(lo[order]) != 0) | (np.diff(hi[order]) != 0)) + 1
+        runs = np.diff(np.concatenate(([0], new_edge, [len(order)])))
+        if np.any(runs != 2):
+            k = np.flatnonzero(runs != 2)[0]
+            first = order[np.concatenate(([0], new_edge))[k]]
+            raise RuntimeError(
+                f"non-manifold surface: edge ({lo[first]}, {hi[first]}) borders {runs[k]} facet(s)"
+            )
+        pairs = order.reshape(-1, 2)
+        if np.any(~agree[pairs[:, 0]] | agree[pairs[:, 1]]):
+            raise RuntimeError("inconsistent facet orientation around an edge")
+        edge_faces = pairs // 3
+        adjacency = coo_matrix(
+            (np.ones(len(pairs)), (edge_faces[:, 0], edge_faces[:, 1])), shape=(n_faces, n_faces)
+        )
+        if connected_components(adjacency, directed=False)[0] != 1:
+            raise RuntimeError("surface is not connected")
 
         p = vertices[triangles]
         cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         areas2 = np.linalg.norm(cross, axis=-1)
         if np.any(areas2 <= 0.0):
             raise ValueError("degenerate triangle: zero area")
-        normals = cross / areas2[:, None]
-        centroids = p.mean(axis=1)
-        if surface is not None:
-            outward_ref = surface.gradient(centroids)
-        else:
-            outward_ref = centroids - vertices.mean(axis=0)
-        if np.einsum("f,fi,fi->", areas2, normals, outward_ref) < 0.0:
-            triangles = triangles[:, [0, 2, 1]].copy()
-            normals = -normals
 
-        edge_map: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for f, (a, b, c) in enumerate(triangles):
-            for k, (u, v) in enumerate(((b, c), (c, a), (a, b))):
-                key = (u, v) if u < v else (v, u)
-                sign = 1 if u < v else -1
-                edge_map.setdefault(key, []).append((f, k, sign))
-
-        keys = sorted(edge_map)
-        edges = np.array(keys, dtype=int).reshape(-1, 2)
-        edge_faces = np.empty((len(keys), 2), dtype=int)
-        edge_local = np.empty((len(keys), 2), dtype=int)
-        face_edges = np.empty((len(triangles), 3), dtype=int)
-        face_edge_signs = np.empty((len(triangles), 3))
-        for e, key in enumerate(keys):
-            entries = edge_map[key]
-            if len(entries) != 2 or entries[0][2] + entries[1][2] != 0:
-                raise RuntimeError("inconsistent facet orientation around an edge")
-            for f, k, sign in entries:
-                slot = 0 if sign > 0 else 1
-                edge_faces[e, slot] = f
-                edge_local[e, slot] = k
-                face_edges[f, k] = e
-                face_edge_signs[f, k] = sign
-
+        edges = np.stack([lo[pairs[:, 0]], hi[pairs[:, 0]]], axis=1)
+        face_edges = np.empty(3 * n_faces, dtype=int)
+        face_edges[pairs] = np.arange(len(pairs))[:, None]
         edge_vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-        h = float(np.linalg.norm(edge_vec, axis=-1).max())
         if parent_tet is None:
-            parent_tet = np.full(len(triangles), -1, dtype=int)
+            parent_tet = np.full(n_faces, -1, dtype=int)
         return TraceMesh(
             vertices=vertices,
             triangles=triangles,
             edges=edges,
             edge_faces=edge_faces,
-            edge_local=edge_local,
-            face_edges=face_edges,
-            face_edge_signs=face_edge_signs,
-            face_normals=normals,
-            h=h,
+            edge_local=pairs % 3,
+            face_edges=face_edges.reshape(-1, 3),
+            face_edge_signs=np.where(agree, 1.0, -1.0).reshape(-1, 3),
+            face_normals=cross / areas2[:, None],
+            h=float(np.linalg.norm(edge_vec, axis=-1).max()),
             parent_tet=np.asarray(parent_tet, dtype=int),
         )
 
 
 def bisect_quads(raw: RawTraceSurface, surface: SurfaceField | None = None) -> TraceMesh:
-    """Turn the raw cut polygons into an oriented conforming triangulation."""
-    tris: list[tuple[int, int, int]] = []
-    parents: list[int] = []
-    verts = raw.vertices
-    for face, parent in zip(raw.faces, raw.parent_tet):
-        if len(face) == 3:
-            tris.append(face)
-            parents.append(parent)
-            continue
-        p = verts[list(face)]
-        diag_cross = np.cross(p[2] - p[0], p[3] - p[1])
-        nrm = np.linalg.norm(diag_cross)
-        if nrm > 1e-300:
-            defect = abs(np.dot(p[1] - p[0], diag_cross / nrm))
-            if defect > PLANARITY_TOL:
-                raise RuntimeError(f"cut quadrilateral is not planar (defect {defect:.3e})")
-        for tri in split_quad(p, face):
-            tris.append(tri)
-            parents.append(parent)
-    return TraceMesh.from_arrays(
-        verts, np.array(tris, dtype=int), surface=surface, parent_tet=np.array(parents, dtype=int)
-    )
+    """Turn the raw cut polygons into an oriented conforming triangulation.
+
+    Polygons keep their order; a quadrilateral becomes two consecutive
+    triangles (``split_quads``).  Polygons marked ``inward`` are reversed, so
+    every normal points to the psi > 0 side.  With ``surface`` given, raises
+    ``ValueError`` if the normals point against ``surface.gradient`` on
+    balance, i.e. if the level function was positive inside.
+    """
+    is_quad = raw.faces[:, 3] >= 0
+    sizes = 1 + is_quad
+    start = np.cumsum(sizes) - sizes
+    tris = np.empty((sizes.sum(), 3), dtype=int)
+    tris[start[~is_quad]] = raw.faces[~is_quad, :3]
+    quads = raw.faces[is_quad]
+    tris[start[is_quad][:, None] + [0, 1]] = split_quads(raw.vertices[quads], quads)
+    inward = np.repeat(raw.inward, sizes)
+    tris[inward] = tris[inward][:, [0, 2, 1]]
+    mesh = TraceMesh.from_arrays(raw.vertices, tris, parent_tet=np.repeat(raw.parent_tet, sizes))
+    if surface is not None:
+        flux = np.einsum(
+            "f,fi,fi->", mesh.areas(), mesh.face_normals, surface.gradient(mesh.centroids())
+        )
+        if flux < 0.0:
+            raise ValueError(
+                "facet normals point against the surface gradient: "
+                "the level function must be positive outside the surface"
+            )
+    return mesh
 
 
 @dataclass(frozen=True)

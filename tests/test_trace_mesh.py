@@ -1,21 +1,56 @@
 """Bulk mesh construction, level-set extraction and mesh quality tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasitrace.trace_mesh import (
     BulkMesh,
     TraceMesh,
+    _max_interior_angles,
     bisect_quads,
     build_bulk_mesh,
     extract_trace_surface,
     mesh_stats,
     read_vertex_values,
-    split_quad,
+    split_quads,
     write_off,
 )
 
-from conftest import DEFAULT_BOX, random_rotation, tet_boundary_mesh
+from conftest import DEFAULT_BOX, make_sphere_mesh, random_rotation, tet_boundary_mesh
+
+MESH_FIELDS = (
+    "vertices",
+    "triangles",
+    "edges",
+    "edge_faces",
+    "edge_local",
+    "face_edges",
+    "face_edge_signs",
+    "face_normals",
+    "h",
+    "parent_tet",
+)
+
+
+def mesh_digest(mesh: TraceMesh) -> str:
+    """SHA-256 over every stored array: name, dtype, shape and bytes.
+
+    Float arrays are hashed with -0.0 read as +0.0: a normal computed as
+    -(u x v) or as v x u has the same value, but an exact zero component
+    can carry either sign.
+    """
+    sha = hashlib.sha256()
+    for name in MESH_FIELDS:
+        arr = np.ascontiguousarray(getattr(mesh, name))
+        if arr.dtype.kind == "f":
+            arr = arr + 0.0
+        sha.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        sha.update(arr.tobytes())
+    return sha.hexdigest()
 
 
 def tet_volumes(bulk: BulkMesh) -> np.ndarray:
@@ -81,16 +116,19 @@ class TestExtraction:
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         bulk = BulkMesh(vertices=verts, tets=np.array([[0, 1, 2, 3]]), h_bulk=np.sqrt(2.0))
         raw = extract_trace_surface(bulk, np.array([-1.0, 1.0, 1.0, 1.0]))
-        assert len(raw.faces) == 1 and len(raw.faces[0]) == 3
+        assert raw.faces.shape == (1, 4) and raw.faces[0, 3] == -1
         expected = {(0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5)}
-        got = {tuple(raw.vertices[v]) for v in raw.faces[0]}
+        got = {tuple(raw.vertices[v]) for v in raw.faces[0, :3]}
         assert got == expected
+        # once oriented, the normal points away from the lone negative corner
+        a, b, c = raw.vertices[raw.faces[0, [0, 2, 1] if raw.inward[0] else [0, 1, 2]]]
+        assert np.all(np.cross(b - a, c - a) > 0.0)
 
     def test_two_against_two_gives_quad(self):
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         bulk = BulkMesh(vertices=verts, tets=np.array([[0, 1, 2, 3]]), h_bulk=np.sqrt(2.0))
         raw = extract_trace_surface(bulk, np.array([-1.0, -1.0, 1.0, 1.0]))
-        assert len(raw.faces) == 1 and len(raw.faces[0]) == 4
+        assert raw.faces.shape == (1, 4) and np.all(raw.faces[0] >= 0)
         assert len(raw.vertices) == 4
 
     def test_uncut_tet_contributes_nothing(self):
@@ -98,6 +136,9 @@ class TestExtraction:
         bulk = BulkMesh(vertices=verts, tets=np.array([[0, 1, 2, 3]]), h_bulk=np.sqrt(2.0))
         raw = extract_trace_surface(bulk, np.array([1.0, 1.0, 1.0, 1.0]))
         assert len(raw.faces) == 0
+        assert raw.vertices.shape == (0, 3) and raw.faces.shape == (0, 4)
+        with pytest.raises(RuntimeError, match="empty"):
+            bisect_quads(raw)
 
     def test_vertices_on_interpolated_zero_set(self, sphere):
         """Reconstruct the linear interpolant in a parent element and check
@@ -120,7 +161,8 @@ class TestExtraction:
         raw1 = extract_trace_surface(bulk, sphere.signed_distance)
         raw2 = extract_trace_surface(bulk, sphere.signed_distance)
         assert np.array_equal(raw1.vertices, raw2.vertices)
-        assert raw1.faces == raw2.faces
+        assert np.array_equal(raw1.faces, raw2.faces)
+        assert np.array_equal(raw1.inward, raw2.inward)
         mesh1, mesh2 = bisect_quads(raw1, surface=sphere), bisect_quads(raw2, surface=sphere)
         assert np.array_equal(mesh1.triangles, mesh2.triangles)
         assert np.array_equal(mesh1.face_normals, mesh2.face_normals)
@@ -133,32 +175,43 @@ class TestExtraction:
         from_file = extract_trace_surface(bulk, read_vertex_values(path))
         direct = extract_trace_surface(bulk, sphere.signed_distance)
         assert np.array_equal(from_file.vertices, direct.vertices)
-        assert from_file.faces == direct.faces
+        assert np.array_equal(from_file.faces, direct.faces)
+
+    def test_rejects_level_function_positive_inside(self, sphere):
+        bulk = build_bulk_mesh(DEFAULT_BOX, 8)
+        raw = extract_trace_surface(bulk, lambda x: -sphere.signed_distance(x))
+        with pytest.raises(ValueError, match="positive outside"):
+            bisect_quads(raw, surface=sphere)
+        # without a surface to check against, the normals point inward
+        mesh = bisect_quads(raw)
+        cos = np.einsum("fi,fi->f", sphere.gradient(mesh.centroids()), mesh.face_normals)
+        assert cos.max() < 0.0
+
+
+def worst_angle(quad: np.ndarray, split) -> float:
+    """Larger maximum interior angle of the two triangles of a split."""
+    return float(_max_interior_angles(quad[np.asarray(split)]).max())
 
 
 class TestQuadSplit:
+    IDS = np.array([[0, 1, 2, 3]])
+    SPLITS = (((0, 1, 2), (0, 2, 3)), ((0, 1, 3), (1, 2, 3)))
+
     def test_unit_square_tie_breaks_to_low_diagonal(self):
         square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-        tris = split_quad(square, (0, 1, 2, 3))
-        assert tris == ((0, 1, 2), (0, 2, 3))
+        tris = split_quads(square[None], self.IDS)[0]
+        assert tris.tolist() == [[0, 1, 2], [0, 2, 3]]
 
     def test_anisotropic_trapezoid_prefers_better_diagonal(self):
         quad = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [9.0, 1.0, 0.0], [0.5, 1.0, 0.0]])
-        from quasitrace.trace_mesh import _max_interior_angle
-
-        def worst(split):
-            return max(_max_interior_angle(*quad[list(t)]) for t in split)
-
-        chosen = split_quad(quad, (0, 1, 2, 3))
-        chosen_local = tuple(tuple(i for i in t) for t in chosen)
-        alternatives = {((0, 1, 2), (0, 2, 3)), ((0, 1, 3), (1, 2, 3))}
-        other = (alternatives - {chosen_local}).pop()
-        assert worst(chosen_local) < worst(other)
+        chosen = split_quads(quad[None], self.IDS)[0]
+        chosen_local = tuple(tuple(int(i) for i in t) for t in chosen)
+        other = (set(self.SPLITS) - {chosen_local}).pop()
+        assert worst_angle(quad, chosen_local) < worst_angle(quad, other)
 
     def test_choice_minimizes_max_angle_on_random_quads(self):
-        from quasitrace.trace_mesh import _max_interior_angle
-
         rng = np.random.default_rng(21)
+        quads = []
         for _ in range(50):
             # convex planar quad from a random ellipse parameterization
             angles = np.sort(rng.uniform(0.0, 2 * np.pi, size=4))
@@ -166,14 +219,17 @@ class TestQuadSplit:
                 continue
             a, b = rng.uniform(0.5, 3.0, size=2)
             flat = np.stack([a * np.cos(angles), b * np.sin(angles), np.zeros(4)], axis=-1)
-            quad = flat @ random_rotation(rng).T
-            chosen = split_quad(quad, (0, 1, 2, 3))
+            quads.append(flat @ random_rotation(rng).T)
+        quads = np.array(quads)
+        chosen = split_quads(quads, np.tile(self.IDS, (len(quads), 1)))
+        for quad, split in zip(quads, chosen):
+            best = min(worst_angle(quad, s) for s in self.SPLITS)
+            assert worst_angle(quad, split) <= best + 1e-12
 
-            def worst(split):
-                return max(_max_interior_angle(*quad[list(t)]) for t in split)
-
-            best = min(worst(s) for s in (((0, 1, 2), (0, 2, 3)), ((0, 1, 3), (1, 2, 3))))
-            assert worst(chosen) <= best + 1e-12
+    def test_rejects_non_planar_quad(self):
+        quad = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1e-3]])
+        with pytest.raises(RuntimeError, match="not planar"):
+            split_quads(quad[None], self.IDS)
 
 
 class TestSphereMesh:
@@ -215,6 +271,47 @@ class TestSphereMesh:
             assert mesh.euler_characteristic == 2
 
 
+class TestMeshBytes:
+    """The extracted arrays are pinned to SHA-256 digests of a reference run."""
+
+    @pytest.mark.parametrize(
+        "n, offset, digest",
+        [
+            (12, (0.0, 0.0, 0.0), "a265a2ea7ece0ce1ae2f25eb71e32f9701686215b7a138c22034524ed304976e"),
+            (16, (0.031, 0.117, 0.203), "054b03cab55f4d5151f2a72447dc4f63fb5069866913500865e3410f03387d93"),
+            (16, (0.2, 0.05, 0.15), "f52faa5d583c6b3a4eec12288692c0d7d0d32f81335cb353a47dbd92738ab1f7"),
+            (16, (0.125, 0.125, 0.125), "5f3f215898b17add6e03ac23872611c594fe4599dcb34ed5bade13965f75bb81"),
+        ],
+        ids=["n12", "n16-a", "n16-b", "n16-half-cell"],
+    )
+    def test_digest(self, n, offset, digest):
+        box = np.asarray(DEFAULT_BOX) + np.asarray(offset)[:, None]
+        assert mesh_digest(make_sphere_mesh(n, box)) == digest
+
+
+class TestExtractedMeshProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(6, 16),
+        frac=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    )
+    def test_lattice_offsets(self, sphere, n, frac):
+        box = np.asarray(DEFAULT_BOX) + (np.asarray(frac) * 4.0 / n)[:, None]
+        mesh = make_sphere_mesh(n, box)
+        first = mesh.face_edge_signs[mesh.edge_faces[:, 0], mesh.edge_local[:, 0]]
+        second = mesh.face_edge_signs[mesh.edge_faces[:, 1], mesh.edge_local[:, 1]]
+        assert np.all(first == 1.0) and np.all(second == -1.0)
+        assert mesh.euler_characteristic == 2
+        cos = np.einsum("fi,fi->f", sphere.gradient(mesh.centroids()), mesh.face_normals)
+        assert cos.min() > 0.0
+        assert mesh.max_interior_angles().max() <= np.pi - 0.05
+        rebuilt = TraceMesh.from_arrays(mesh.vertices, mesh.triangles, parent_tet=mesh.parent_tet)
+        for name in MESH_FIELDS:
+            got, want = np.asarray(getattr(rebuilt, name)), np.asarray(getattr(mesh, name))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+
+
 class TestFromArrays:
     def test_tet_boundary(self):
         mesh = tet_boundary_mesh()
@@ -227,6 +324,28 @@ class TestFromArrays:
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(RuntimeError):
             TraceMesh.from_arrays(verts, np.array([[0, 1, 2]]))
+
+    def test_rejects_flipped_facet(self):
+        mesh = tet_boundary_mesh()
+        tris = mesh.triangles.copy()
+        tris[2] = tris[2, [0, 2, 1]]
+        with pytest.raises(RuntimeError, match="orientation"):
+            TraceMesh.from_arrays(mesh.vertices, tris)
+
+    def test_rejects_non_manifold_edge(self):
+        mesh = tet_boundary_mesh()
+        # a fin on edge 0-1 makes it border three facets
+        verts = np.vstack([mesh.vertices, [[3.0, 0.0, 0.0]]])
+        tris = np.vstack([mesh.triangles, [[1, 0, 4]]])
+        with pytest.raises(RuntimeError, match="non-manifold"):
+            TraceMesh.from_arrays(verts, tris)
+
+    def test_rejects_disjoint_tetrahedra(self):
+        mesh = tet_boundary_mesh()
+        verts = np.vstack([mesh.vertices, mesh.vertices + 5.0])
+        tris = np.vstack([mesh.triangles, mesh.triangles + 4])
+        with pytest.raises(RuntimeError, match="not connected"):
+            TraceMesh.from_arrays(verts, tris)
 
 
 class TestOffExport:
