@@ -13,7 +13,6 @@ from .geometry import (
     area_ratio,
     consistency_matrix,
     frame_at,
-    lift_scalar,
     piola_from_surface,
     piola_to_surface,
 )
@@ -31,10 +30,8 @@ from .elements import (
     AffineMap,
     MixedSpace,
     interpolate_hdiv,
-    interpolate_lagrange,
     mixed_space,
     project_l2,
-    push_forward_vector,
     triangle_rule,
 )
 from .assembly import (

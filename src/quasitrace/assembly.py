@@ -1,5 +1,9 @@
 """Assembly and solution of the mixed system on a trace mesh.
 
+The discrete load is data: ``build_rhs`` samples the weighted lift of the
+source once on the assembly rule, and the local blocks and the flux-driven
+postprocessing integrate those mean-free samples.
+
 The broken mixed saddle problem is solved by hybridization: per facet the
 vector mass block A, the divergence row b and the load F form the symmetric
 indefinite block K = [[A, -b^T], [-b, 0]].  Coupling to the per-edge
@@ -25,12 +29,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .elements import AffineMap, MixedSpace, local_vector_coefficients, triangle_rule
+from .elements import ASSEMBLY_DEGREE, AffineMap, MixedSpace, facet_quadrature, local_vector_coefficients
 from .geometry import SurfaceField, area_ratio, frame_at
 from .trace_mesh import TraceMesh
 
 __all__ = [
-    "ASSEMBLY_DEGREE",
     "RhsField",
     "build_rhs",
     "LocalBlocks",
@@ -46,9 +49,6 @@ __all__ = [
     "effective_condition_number",
 ]
 
-ASSEMBLY_DEGREE = 4
-
-
 def _direct_solve(matrix: sp.csc_matrix, rhs: np.ndarray, refine: int = 2) -> np.ndarray:
     """Sparse LU solve with a few steps of iterative refinement.
 
@@ -63,6 +63,7 @@ def _direct_solve(matrix: sp.csc_matrix, rhs: np.ndarray, refine: int = 2) -> np
     return x
 
 
+@dataclass(frozen=True)
 class RhsField:
     """Discrete load: area-ratio-weighted lift of the source, minus its mean.
 
@@ -73,37 +74,27 @@ class RhsField:
     incompatible source.
     """
 
-    def __init__(self, surface: SurfaceField, mesh: TraceMesh, f, degree: int = ASSEMBLY_DEGREE):
-        self.surface = surface
-        self.mesh = mesh
-        self.f = f
-        maps = AffineMap.from_triangles(mesh.corner_points())
-        pts, wts = triangle_rule(degree)
-        x = maps.to_physical(pts)
-        nu_h = np.broadcast_to(mesh.face_normals[:, None, :], x.shape)
-        weighted = area_ratio(frame_at(surface, x, nu_h)) * f(surface.closest_point(x))
-        cell = wts[None, :] * maps.jac[:, None]
-        total_area = float(cell.sum())
-        self.mean_correction = float((cell * weighted).sum() / total_area)
-        norm_f = float(np.sqrt((cell * weighted**2).sum()))
-        self.norm = norm_f
-        self.area = total_area
-        if abs(self.mean_correction) > mesh.h**3 * max(norm_f, 1e-300):
-            warnings.warn(
-                "load mean correction exceeds h^3 * |f|; source may be incompatible "
-                "or the quadrature degree too low",
-                stacklevel=2,
-            )
-
-    def __call__(self, points: np.ndarray, faces: np.ndarray) -> np.ndarray:
-        frames = frame_at(self.surface, points, self.mesh.face_normals[np.asarray(faces)])
-        lifted = self.f(self.surface.closest_point(points))
-        return area_ratio(frames) * lifted - self.mean_correction
+    values: np.ndarray      # (F, Q) mean-free load at the assembly-rule facet points
+    mean_correction: float  # facet mean subtracted from the weighted lift
+    norm: float             # facet L2 norm of the weighted lift
 
 
-def build_rhs(f, mesh: TraceMesh, surface: SurfaceField, degree: int = ASSEMBLY_DEGREE) -> RhsField:
-    """Build the mean-free discrete load for a compatible surface source."""
-    return RhsField(surface, mesh, f, degree=degree)
+def build_rhs(f, mesh: TraceMesh, surface: SurfaceField) -> RhsField:
+    """Sample the mean-free discrete load of a compatible surface source."""
+    quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
+    frames = frame_at(surface, quad.points, quad.normals)
+    weighted = area_ratio(frames) * f(frames.closest)
+    cell = quad.cell
+    total_area = float(cell.sum())
+    mean_correction = float((cell * weighted).sum() / total_area)
+    norm_f = float(np.sqrt((cell * weighted**2).sum()))
+    if abs(mean_correction) > mesh.h**3 * max(norm_f, 1e-300):
+        warnings.warn(
+            "load mean correction exceeds h^3 * |f|; source may be incompatible "
+            "or the assembly rule too coarse for it",
+            stacklevel=2,
+        )
+    return RhsField(values=weighted - mean_correction, mean_correction=mean_correction, norm=norm_f)
 
 
 @dataclass(frozen=True)
@@ -116,17 +107,16 @@ class LocalBlocks:
     maps: AffineMap
 
 
-def assemble_local_blocks(
-    mesh: TraceMesh, space: MixedSpace, rhs=None, degree: int = ASSEMBLY_DEGREE
-) -> LocalBlocks:
+def assemble_local_blocks(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None = None) -> LocalBlocks:
     """Quadrature assembly of mass, divergence and load blocks on every facet.
 
-    The degree-4 default integrates the piecewise-polynomial mass integrands
-    exactly for both supported spaces.
+    The assembly rule integrates the piecewise-polynomial mass integrands
+    exactly for both supported spaces; the load integrates the samples of
+    ``rhs`` on the same rule, and no ``rhs`` means a zero load.
     """
-    maps = AffineMap.from_triangles(mesh.corner_points())
-    pts, wts = triangle_rule(degree)
-    bas = space.vector.basis(pts)
+    quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
+    maps, wts = quad.maps, quad.weights
+    bas = space.vector.basis(quad.ref_points)
     mass = np.einsum("q,kqa,fab,lqb->fkl", wts, bas, maps.metric, bas, optimize=True)
     mass /= maps.jac[:, None, None]
     # Divergence against the constant test function: the Jacobians cancel,
@@ -135,9 +125,7 @@ def assemble_local_blocks(
     if rhs is None:
         load = np.zeros(len(maps))
     else:
-        x = maps.to_physical(pts)
-        faces = np.broadcast_to(np.arange(len(maps))[:, None], x.shape[:2])
-        load = np.einsum("q,fq->f", wts, rhs(x, faces)) * maps.jac
+        load = np.einsum("q,fq->f", wts, rhs.values) * maps.jac
     return LocalBlocks(mass=mass, div=div_row, load=load, maps=maps)
 
 
@@ -172,9 +160,7 @@ class HybridSystem:
     matrix: sp.csc_matrix          # bordered symmetric system
     unbordered: sp.csr_matrix      # condensed multiplier matrix (PSD)
     rhs: np.ndarray
-    k_local: np.ndarray            # (F, nq+1, nq+1) local saddle blocks
-    kinv: np.ndarray               # (F, nq+1, nq+1) their inverses
-    load: np.ndarray
+    kinv: np.ndarray               # (F, nq+1, nq+1) inverses of the local saddle blocks
     gdof: np.ndarray
     msign: np.ndarray
     areas: np.ndarray
@@ -184,9 +170,9 @@ class HybridSystem:
     n_multipliers: int
 
 
-def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs=None, degree: int = ASSEMBLY_DEGREE) -> HybridSystem:
+def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None = None) -> HybridSystem:
     """Eliminate facet unknowns and assemble the global multiplier system."""
-    blocks = assemble_local_blocks(mesh, space, rhs=rhs, degree=degree)
+    blocks = assemble_local_blocks(mesh, space, rhs=rhs)
     nq = space.vector.n_dofs
     nf = len(mesh.triangles)
     k = np.zeros((nf, nq + 1, nq + 1))
@@ -233,9 +219,7 @@ def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs=None, degree: 
         matrix=bordered,
         unbordered=s_mat,
         rhs=full_rhs,
-        k_local=k,
         kinv=kinv,
-        load=blocks.load,
         gdof=gdof,
         msign=msign,
         areas=areas,
@@ -260,7 +244,7 @@ class SolutionFields:
 
 
 def _residuals(mesh: TraceMesh, space: MixedSpace, blocks: LocalBlocks, p_local: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    a_mat, b_mat, _ = conforming_matrices(mesh, space, blocks=blocks)
+    a_mat, b_mat = conforming_matrices(mesh, space, blocks)
     p_glob = global_vector_coefficients(mesh, space, p_local)
     r1 = a_mat @ p_glob - b_mat.T @ u
     scale1 = np.linalg.norm(a_mat @ p_glob) + np.linalg.norm(b_mat.T @ u)
@@ -289,7 +273,7 @@ def solve_hybrid(system: HybridSystem, check_residuals: bool = True) -> Solution
     nq = system.space.vector.n_dofs
     rhs_loc = np.empty((len(system.mesh.triangles), nq + 1))
     rhs_loc[:, :nq] = -system.msign * lam[system.gdof]
-    rhs_loc[:, nq] = -system.load
+    rhs_loc[:, nq] = -system.blocks.load
     x = np.einsum("fij,fj->fi", system.kinv, rhs_loc)
     p_local = x[:, :nq]
     u = x[:, nq]
@@ -316,16 +300,12 @@ def solve_hybrid(system: HybridSystem, check_residuals: bool = True) -> Solution
     return fields
 
 
-def conforming_matrices(
-    mesh: TraceMesh, space: MixedSpace, rhs=None, degree: int = ASSEMBLY_DEGREE, blocks: LocalBlocks | None = None
-) -> tuple[sp.csr_matrix, sp.csr_matrix, LocalBlocks]:
-    """Assemble the conforming vector mass and divergence matrices.
+def conforming_matrices(mesh: TraceMesh, space: MixedSpace, blocks: LocalBlocks) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Assemble the conforming vector mass and divergence matrices from local blocks.
 
     Global vector dofs are edge moments ordered edge-major; rows of the
     divergence matrix correspond to facets (constant scalars).
     """
-    if blocks is None:
-        blocks = assemble_local_blocks(mesh, space, rhs=rhs, degree=degree)
     gdof, _, csign = _multiplier_layout(mesh, space)
     n_p = space.multiplier_moments * mesh.n_edges
     nf = len(mesh.triangles)
@@ -338,7 +318,7 @@ def conforming_matrices(
     b_data = csign * blocks.div
     b_rows = np.broadcast_to(np.arange(nf)[:, None], gdof.shape)
     b_mat = sp.coo_matrix((b_data.ravel(), (b_rows.ravel(), gdof.ravel())), shape=(nf, n_p)).tocsr()
-    return a_mat, b_mat, blocks
+    return a_mat, b_mat
 
 
 def global_vector_coefficients(mesh: TraceMesh, space: MixedSpace, p_local: np.ndarray) -> np.ndarray:
@@ -365,14 +345,15 @@ def conformity_defect(mesh: TraceMesh, space: MixedSpace, p_local: np.ndarray) -
     return float(max(np.abs(gap0).max(), np.abs(gap1).max()))
 
 
-def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs=None, degree: int = ASSEMBLY_DEGREE) -> SolutionFields:
+def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None = None) -> SolutionFields:
     """Direct solve of the full conforming indefinite system.
 
     Cross-check for the hybrid path: same local blocks, no condensation, the
     facet-mean constraint enforced through one scalar Lagrange multiplier.
     Intended for moderate problem sizes.
     """
-    a_mat, b_mat, blocks = conforming_matrices(mesh, space, rhs=rhs, degree=degree)
+    blocks = assemble_local_blocks(mesh, space, rhs=rhs)
+    a_mat, b_mat = conforming_matrices(mesh, space, blocks)
     nf = len(mesh.triangles)
     areas = 0.5 * blocks.maps.jac
     area_col = sp.csc_matrix(areas[:, None])

@@ -79,8 +79,10 @@ class StudyResult:
 
 
 def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int):
-    bulk = build_bulk_mesh(config.shifted_box(), n)
-    mesh = bisect_quads(extract_trace_surface(bulk, surface.signed_distance), surface=surface)
+    # Nested calls: the 6 n^3 bulk tetrahedra and the raw cut are freed once the mesh exists.
+    mesh = bisect_quads(
+        extract_trace_surface(build_bulk_mesh(config.shifted_box(), n), surface.signed_distance), surface=surface
+    )
     stats = mesh_stats(mesh, surface)
     if stats.euler_characteristic != 2:
         raise RuntimeError(f"level {level}: extracted surface is not a topological sphere")

@@ -10,7 +10,8 @@ when adjacent facets are not coplanar.
 
 Physical facets are images of the reference triangle under affine maps with
 a 3x2 derivative; vector fields are pushed with the flux-preserving scaling
-A / jac, scalars by plain composition.
+A / jac, scalars by plain composition.  ``facet_quadrature`` is the one place
+that maps a triangle rule onto every facet of a mesh.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "REF_VERTICES",
     "REF_EDGES",
+    "REF_EDGE_NORMALS",
+    "REF_EDGE_LENGTHS",
+    "ASSEMBLY_DEGREE",
+    "ERROR_DEGREE",
+    "EDGE_GAUSS_POINTS",
     "triangle_rule",
     "gauss_01",
     "VectorElement",
@@ -31,12 +37,12 @@ __all__ = [
     "MixedSpace",
     "mixed_space",
     "AffineMap",
-    "push_forward_vector",
+    "FacetQuadrature",
+    "facet_quadrature",
     "element_interpolate_hdiv",
     "interpolate_hdiv",
     "local_vector_coefficients",
     "project_l2",
-    "interpolate_lagrange",
     "eval_vector",
     "eval_divergence",
     "eval_p1",
@@ -46,9 +52,17 @@ REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # Local edge k is opposite vertex k, directed along the counterclockwise
 # boundary: (1->2), (2->0), (0->1).
 REF_EDGES = ((1, 2), (2, 0), (0, 1))
-_REF_EDGE_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-_REF_EDGE_NORMALS[0] /= np.sqrt(2.0)
-_REF_EDGE_LENGTHS = np.array([np.sqrt(2.0), 1.0, 1.0])
+REF_EDGE_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+REF_EDGE_NORMALS[0] /= np.sqrt(2.0)
+REF_EDGE_LENGTHS = np.array([np.sqrt(2.0), 1.0, 1.0])
+
+# Triangle-rule degrees: the assembly rule integrates the piecewise-polynomial
+# mass integrands exactly for both spaces and carries the load; the error
+# rule over-integrates the lifted exact solution.  Edge moments use one
+# Gauss-Legendre rule, exact to degree 7.
+ASSEMBLY_DEGREE = 4
+ERROR_DEGREE = 6
+EDGE_GAUSS_POINTS = 4
 
 
 @lru_cache(maxsize=None)
@@ -105,12 +119,12 @@ class VectorElement:
         for e in range(3):
             pts = _edge_points(e, t)
             gen = self._generators(pts)                       # (G, q, 2)
-            flux = gen @ _REF_EDGE_NORMALS[e]                 # (G, q)
-            m0 = _REF_EDGE_LENGTHS[e] * (flux @ w)
+            flux = gen @ REF_EDGE_NORMALS[e]                  # (G, q)
+            m0 = REF_EDGE_LENGTHS[e] * (flux @ w)
             if self.edge_dofs == 1:
                 dof[e] = m0
             else:
-                m1 = _REF_EDGE_LENGTHS[e] * (flux @ (w * (2.0 * t - 1.0)))
+                m1 = REF_EDGE_LENGTHS[e] * (flux @ (w * (2.0 * t - 1.0)))
                 dof[2 * e] = m0
                 dof[2 * e + 1] = m1
         self._coeff = np.linalg.inv(dof)                      # (G, K)
@@ -244,28 +258,43 @@ class AffineMap:
         return np.einsum("fid,fde,fqe->fqi", self.A, self.metric_inv, ref_grads)
 
 
-def push_forward_vector(amap: AffineMap, ref_values: np.ndarray) -> np.ndarray:
-    """Module-level alias of the flux-preserving vector push-forward."""
-    ref_values = np.asarray(ref_values, dtype=float)
-    if ref_values.ndim == 2:
-        return amap.push_vector(ref_values[None])[0]
-    return amap.push_vector(ref_values)
+@dataclass(frozen=True)
+class FacetQuadrature:
+    """A reference triangle rule mapped onto every facet of a mesh."""
+
+    maps: AffineMap
+    ref_points: np.ndarray  # (Q, 2)
+    weights: np.ndarray     # (Q,)
+    points: np.ndarray      # (F, Q, 3) physical quadrature points
+    cell: np.ndarray        # (F, Q) weights times the area Jacobian
+    normals: np.ndarray     # (F, Q, 3) facet normal at every point
 
 
-def _triangle_frame(verts: np.ndarray) -> np.ndarray:
-    n = np.cross(verts[1] - verts[0], verts[2] - verts[0])
-    return n / np.linalg.norm(n)
+def facet_quadrature(mesh, degree: int) -> FacetQuadrature:
+    """Map the degree-exact triangle rule onto every facet of ``mesh``."""
+    maps = AffineMap.from_triangles(mesh.corner_points())
+    pts, wts = triangle_rule(degree)
+    x = maps.to_physical(pts)
+    return FacetQuadrature(
+        maps=maps,
+        ref_points=pts,
+        weights=wts,
+        points=x,
+        cell=wts[None, :] * maps.jac[:, None],
+        normals=np.broadcast_to(mesh.face_normals[:, None, :], x.shape),
+    )
 
 
-def element_interpolate_hdiv(space: MixedSpace, verts: np.ndarray, field, n_gauss: int = 8) -> np.ndarray:
+def element_interpolate_hdiv(space: MixedSpace, verts: np.ndarray, field) -> np.ndarray:
     """Edge-moment interpolation of a tangential field on a single facet.
 
     ``field`` maps points (N, 3) to vectors (N, 3).  Returns the local
     coefficient vector in the element's own edge orientation.
     """
     verts = np.asarray(verts, dtype=float)
-    n_face = _triangle_frame(verts)
-    t, w = gauss_01(n_gauss)
+    n_face = np.cross(verts[1] - verts[0], verts[2] - verts[0])
+    n_face = n_face / np.linalg.norm(n_face)
+    t, w = gauss_01(EDGE_GAUSS_POINTS)
     coeffs = np.empty(space.vector.n_dofs)
     for e, (a, b) in enumerate(REF_EDGES):
         pa, pb = verts[a], verts[b]
@@ -282,7 +311,7 @@ def element_interpolate_hdiv(space: MixedSpace, verts: np.ndarray, field, n_gaus
     return coeffs
 
 
-def interpolate_hdiv(mesh, space: MixedSpace, field, n_gauss: int = 8) -> np.ndarray:
+def interpolate_hdiv(mesh, space: MixedSpace, field) -> np.ndarray:
     """Global edge-moment interpolation on a facet mesh.
 
     ``field(points, faces)`` evaluates the target field at points (E, q, 3)
@@ -297,7 +326,7 @@ def interpolate_hdiv(mesh, space: MixedSpace, field, n_gauss: int = 8) -> np.nda
     tang = (xj - xi) / length[:, None]
     conormal = np.cross(tang, mesh.face_normals[plus])
     conormal /= np.linalg.norm(conormal, axis=-1, keepdims=True)
-    t, w = gauss_01(n_gauss)
+    t, w = gauss_01(EDGE_GAUSS_POINTS)
     pts = xi[:, None, :] + t[None, :, None] * (xj - xi)[:, None, :]
     faces = np.broadcast_to(plus[:, None], pts.shape[:2])
     flux = np.einsum("eqi,ei->eq", field(pts, faces), conormal)
@@ -328,17 +357,17 @@ def local_vector_coefficients(mesh, space: MixedSpace, global_coeffs: np.ndarray
     return out
 
 
-def project_l2(mesh, kind: str, fn, degree: int = 6) -> np.ndarray:
+def project_l2(mesh, kind: str, fn) -> np.ndarray:
     """Elementwise L2 projection of a scalar onto p0 or p1.
 
-    ``fn(points, faces)`` evaluates the scalar at physical points.  Returns
-    means (F,) for p0 and reference-vertex nodal coefficients (F, 3) for p1.
+    ``fn(points, faces)`` evaluates the scalar at physical points of the
+    error rule.  Returns means (F,) for p0 and reference-vertex nodal
+    coefficients (F, 3) for p1.
     """
-    maps = AffineMap.from_triangles(mesh.vertices[mesh.triangles])
-    pts, wts = triangle_rule(degree)
-    x = maps.to_physical(pts)
-    faces = np.broadcast_to(np.arange(len(mesh.triangles))[:, None], x.shape[:2])
-    vals = fn(x, faces)
+    quad = facet_quadrature(mesh, ERROR_DEGREE)
+    pts, wts = quad.ref_points, quad.weights
+    faces = np.broadcast_to(np.arange(len(mesh.triangles))[:, None], quad.points.shape[:2])
+    vals = fn(quad.points, faces)
     if kind == "p0":
         return 2.0 * (vals @ wts)
     if kind != "p1":
@@ -347,11 +376,6 @@ def project_l2(mesh, kind: str, fn, degree: int = 6) -> np.ndarray:
     mass = np.einsum("q,iq,jq->ij", wts, bary, bary)           # jac cancels
     rhs = np.einsum("q,iq,fq->fi", wts, bary, vals)
     return rhs @ np.linalg.inv(mass).T
-
-
-def interpolate_lagrange(mesh, fn) -> np.ndarray:
-    """Vertex interpolant into the conforming piecewise linears."""
-    return np.asarray(fn(mesh.vertices), dtype=float)
 
 
 def eval_vector(maps: AffineMap, space: MixedSpace, local_coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:

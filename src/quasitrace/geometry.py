@@ -27,7 +27,6 @@ __all__ = [
     "piola_to_surface",
     "piola_from_surface",
     "consistency_matrix",
-    "lift_scalar",
 ]
 
 
@@ -104,6 +103,11 @@ class TangentFrame:
     normal: np.ndarray       # (..., 3)
     hessian: np.ndarray      # (..., 3, 3) distance Hessian
     face_normal: np.ndarray  # (..., 3)
+
+    @property
+    def closest(self) -> np.ndarray:
+        """Closest point on the surface, where scalars are lifted from."""
+        return self.point - self.dist[..., None] * self.normal
 
     @property
     def tangent_projector(self) -> np.ndarray:
@@ -209,8 +213,3 @@ def consistency_matrix(frame: TangentFrame) -> np.ndarray:
     skew = eye - frame.normal[..., :, None] * frame.face_normal[..., None, :] / cosang[..., None, None]
     half = skew @ ainv @ frame.tangent_projector
     return mu[..., None, None] * (np.swapaxes(half, -1, -2) @ half)
-
-
-def lift_scalar(fn, surface: SurfaceField, points: np.ndarray) -> np.ndarray:
-    """Evaluate a surface scalar at the closest point of each query point."""
-    return fn(surface.closest_point(points))

@@ -2,13 +2,13 @@
 
 Postprocessing solves, facet by facet, a 2x2 system on the mean-free linear
 functions for a piecewise-linear scalar whose facet mean matches the raw
-scalar unknown.  Two variants are provided: one driven by the source and the
-boundary fluxes of the vector unknown, one by its interior values.  Both
-gain one order over the raw scalar.
+scalar unknown.  Two variants are provided: one driven by the sampled load
+of ``build_rhs`` and the boundary fluxes of the vector unknown, one by its
+interior values.  Both gain one order over the raw scalar.
 
 Error norms compare against the manufactured solution transferred to the
-facet mesh: the scalar through the closest-point lift, the vector through
-the flux-preserving pull-back.
+facet mesh at the points of the error rule: the scalar through the
+closest-point lift, the vector through the flux-preserving pull-back.
 """
 
 from __future__ import annotations
@@ -19,23 +19,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import (
+    ASSEMBLY_DEGREE,
+    EDGE_GAUSS_POINTS,
+    ERROR_DEGREE,
     AffineMap,
     MixedSpace,
     REF_EDGES,
     REF_VERTICES,
-    _REF_EDGE_LENGTHS,
-    _REF_EDGE_NORMALS,
+    REF_EDGE_LENGTHS,
+    REF_EDGE_NORMALS,
     eval_p1,
     eval_vector,
+    facet_quadrature,
     gauss_01,
     interpolate_hdiv,
     local_vector_coefficients,
     project_l2,
-    triangle_rule,
 )
 from .geometry import SurfaceField, frame_at, piola_from_surface
 from .trace_mesh import TraceMesh, MeshStats
-from .assembly import SolutionFields
+from .assembly import RhsField, SolutionFields
 
 __all__ = [
     "ManufacturedProblem",
@@ -50,8 +53,6 @@ __all__ = [
     "ErrorReport",
     "eoc",
 ]
-
-ERROR_DEGREE = 6
 
 # Mean-free linear basis on the reference triangle: barycentric coordinates
 # of the two non-origin vertices, shifted by their mean.  Vertex values and
@@ -110,7 +111,7 @@ def transformed_exact_flux(surface: SurfaceField, problem: ManufacturedProblem, 
 
     def evaluator(points, faces):
         frames = frame_at(surface, points, mesh.face_normals[np.asarray(faces)])
-        return piola_from_surface(frames, problem.p(surface.closest_point(points)))
+        return piola_from_surface(frames, problem.p(frames.closest))
 
     return evaluator
 
@@ -127,58 +128,52 @@ def _postprocess_common(mesh: TraceMesh, rhs_meanfree: np.ndarray, u_mean: np.nd
     return u_mean[:, None] + coeff @ _MEANFREE_VERTEX_VALUES
 
 
-def postprocess_neumann(
-    mesh: TraceMesh, space: MixedSpace, fields: SolutionFields, f_star, degree: int = 4, n_gauss: int = 4
-) -> np.ndarray:
-    """Facet-local linear reconstruction driven by source and boundary fluxes.
+def postprocess_neumann(mesh: TraceMesh, space: MixedSpace, fields: SolutionFields, rhs: RhsField) -> np.ndarray:
+    """Facet-local linear reconstruction driven by the load and boundary fluxes.
 
-    Solves, per facet, grad u* . grad v = f* v - (boundary flux of the vector
+    Solves, per facet, grad u* . grad v = f v - (boundary flux of the vector
     unknown) v over the mean-free linears, then fixes the facet mean to match
-    the raw scalar.  ``f_star`` follows the load-evaluator convention
-    ``f_star(points, faces)``; the weighted-lift load itself is a valid
-    choice.  Returns reference-vertex values (F, 3).
+    the raw scalar.  ``rhs`` holds f: the load sampled by ``build_rhs``,
+    integrated on the assembly rule it was sampled on.  Returns
+    reference-vertex values (F, 3).
     """
-    maps = AffineMap.from_triangles(mesh.corner_points())
-    pts, wts = triangle_rule(degree)
-    x = maps.to_physical(pts)
-    faces = np.broadcast_to(np.arange(len(maps))[:, None], x.shape[:2])
-    fvals = f_star(x, faces)
+    quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
+    maps, pts, wts = quad.maps, quad.ref_points, quad.weights
     vbas = np.stack([pts[:, 0] - 1.0 / 3.0, pts[:, 1] - 1.0 / 3.0])      # (2, Q)
-    rhs = np.einsum("q,fq,iq->fi", wts, fvals, vbas) * maps.jac[:, None]
+    rhs_local = np.einsum("q,fq,iq->fi", wts, rhs.values, vbas) * maps.jac[:, None]
 
     # Boundary term: the flux measure is invariant under the element map, so
     # the edge integrals reduce to reference-edge quadrature.
-    t, w = gauss_01(n_gauss)
+    t, w = gauss_01(EDGE_GAUSS_POINTS)
     bas_ref = space.vector.basis
     for e, (a, b) in enumerate(REF_EDGES):
         epts = (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
         phi = bas_ref(epts)                                              # (nq, q, 2)
-        flux = np.einsum("kqd,d->kq", phi, _REF_EDGE_NORMALS[e])
+        flux = np.einsum("kqd,d->kq", phi, REF_EDGE_NORMALS[e])
         ph_flux = np.einsum("fk,kq->fq", fields.p_local, flux)
         vedge = np.stack([epts[:, 0] - 1.0 / 3.0, epts[:, 1] - 1.0 / 3.0])
-        rhs -= _REF_EDGE_LENGTHS[e] * np.einsum("q,fq,iq->fi", w, ph_flux, vedge)
-    return _postprocess_common(mesh, rhs, fields.u, maps)
+        rhs_local -= REF_EDGE_LENGTHS[e] * np.einsum("q,fq,iq->fi", w, ph_flux, vedge)
+    return _postprocess_common(mesh, rhs_local, fields.u, maps)
 
 
-def postprocess_gradient(mesh: TraceMesh, space: MixedSpace, fields: SolutionFields, degree: int = 4) -> np.ndarray:
+def postprocess_gradient(mesh: TraceMesh, space: MixedSpace, fields: SolutionFields) -> np.ndarray:
     """Facet-local linear reconstruction driven by the interior vector values.
 
     Same mean handling as the flux-driven variant; the right-hand side is the
     (sign-flipped) pairing of the vector unknown with the test gradients,
     which collapses to a reference-element integral.
     """
-    maps = AffineMap.from_triangles(mesh.corner_points())
-    pts, wts = triangle_rule(degree)
-    phat = np.einsum("kqd,fk->fqd", space.vector.basis(pts), fields.p_local)
-    rhs = -np.einsum("q,fqi->fi", wts, phat)
-    return _postprocess_common(mesh, rhs, fields.u, maps)
+    quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
+    phat = np.einsum("kqd,fk->fqd", space.vector.basis(quad.ref_points), fields.p_local)
+    rhs = -np.einsum("q,fqi->fi", quad.weights, phat)
+    return _postprocess_common(mesh, rhs, fields.u, quad.maps)
 
 
 def injected_exact_fields(
-    mesh: TraceMesh, surface: SurfaceField, space: MixedSpace, problem: ManufacturedProblem, degree: int = ERROR_DEGREE
+    mesh: TraceMesh, surface: SurfaceField, space: MixedSpace, problem: ManufacturedProblem
 ) -> SolutionFields:
     """Best-approximation stand-in for a solve: projected scalar, interpolated vector."""
-    u_proj = project_l2(mesh, "p0", lambda x, f: problem.u(surface.closest_point(x)), degree=degree)
+    u_proj = project_l2(mesh, "p0", lambda x, f: problem.u(surface.closest_point(x)))
     p_glob = interpolate_hdiv(mesh, space, transformed_exact_flux(surface, problem, mesh))
     p_local = local_vector_coefficients(mesh, space, p_glob)
     areas = mesh.areas()
@@ -213,13 +208,10 @@ def compute_errors(
     degree: int = ERROR_DEGREE,
 ) -> ErrorNorms:
     """L2 error norms over the facet mesh at the given quadrature degree."""
-    maps = AffineMap.from_triangles(mesh.corner_points())
-    pts, wts = triangle_rule(degree)
-    x = maps.to_physical(pts)
-    nu_h = np.broadcast_to(mesh.face_normals[:, None, :], x.shape)
-    frames = frame_at(surface, x, nu_h)
-    closest = surface.closest_point(x)
-    cell = wts[None, :] * maps.jac[:, None]
+    quad = facet_quadrature(mesh, degree)
+    maps, pts, wts, cell = quad.maps, quad.ref_points, quad.weights, quad.cell
+    frames = frame_at(surface, quad.points, quad.normals)
+    closest = frames.closest
 
     p_exact = piola_from_surface(frames, problem.p(closest))
     p_h = eval_vector(maps, space, fields.p_local, pts)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elements import ASSEMBLY_DEGREE, facet_quadrature
 from .geometry import SurfaceField, area_ratio, consistency_matrix, frame_at
 
 __all__ = [
@@ -412,15 +413,10 @@ class MeshStats:
     max_consistency_gap: float     # sup |P - B| (Frobenius) over quadrature points
 
 
-def mesh_stats(mesh: TraceMesh, surface: SurfaceField, degree: int = 4) -> MeshStats:
-    """Measure the mesh against the continuous surface at quadrature points."""
-    from .elements import AffineMap, triangle_rule
-
-    maps = AffineMap.from_triangles(mesh.corner_points())
-    pts, _ = triangle_rule(degree)
-    x = maps.to_physical(pts)
-    nu_h = np.broadcast_to(mesh.face_normals[:, None, :], x.shape)
-    frames = frame_at(surface, x, nu_h)
+def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
+    """Measure the mesh against the continuous surface at the assembly-rule points."""
+    quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
+    frames = frame_at(surface, quad.points, quad.normals)
 
     mu = area_ratio(frames)
     bgap = frames.tangent_projector - consistency_matrix(frames)

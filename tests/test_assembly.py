@@ -14,7 +14,8 @@ from quasitrace.assembly import (
     solve_hybrid,
     solve_saddle_point,
 )
-from quasitrace.elements import AffineMap, mixed_space, triangle_rule
+from quasitrace.elements import ASSEMBLY_DEGREE, AffineMap, mixed_space, triangle_rule
+from quasitrace.geometry import area_ratio, frame_at
 
 from conftest import (
     l2_scalar_diff,
@@ -26,17 +27,24 @@ from conftest import (
 from test_elements import boundary_flux
 
 
-def zero_rhs(points, faces):
-    return np.zeros(points.shape[:-1])
-
-
 class TestRhs:
     def test_zero_source_gives_zero_load(self, sphere, sphere_meshes):
         mesh = sphere_meshes[8]
         rhs = build_rhs(lambda x: np.zeros(x.shape[:-1]), mesh, sphere)
         assert rhs.mean_correction == 0.0
-        pts = mesh.centroids()[:5]
-        assert np.all(rhs(pts, np.arange(5)) == 0.0)
+        assert np.all(rhs.values == 0.0)
+
+    def test_samples_are_the_weighted_lift_at_assembly_points(self, sphere, problem, sphere_meshes):
+        """The stored load is the frame-weighted source at the assembly-rule
+        facet points, minus the mean correction, bit for bit."""
+        mesh = sphere_meshes[8]
+        rhs = build_rhs(problem.f, mesh, sphere)
+        maps = AffineMap.from_triangles(mesh.corner_points())
+        x = maps.to_physical(triangle_rule(ASSEMBLY_DEGREE)[0])
+        faces = np.broadcast_to(np.arange(mesh.n_triangles)[:, None], x.shape[:2])
+        frames = frame_at(sphere, x, mesh.face_normals[faces])
+        direct = area_ratio(frames) * problem.f(sphere.closest_point(x)) - rhs.mean_correction
+        assert np.array_equal(rhs.values, direct)
 
     def test_load_is_mean_free(self, sphere, problem, sphere_meshes):
         for n in (8, 16):
@@ -110,7 +118,7 @@ class TestLocalBlocks:
 class TestTetBoundarySystem:
     def test_structure_and_symmetry(self):
         mesh = tet_boundary_mesh()
-        system = condense_and_assemble(mesh, mixed_space("rt0"), rhs=zero_rhs)
+        system = condense_and_assemble(mesh, mixed_space("rt0"))
         assert system.unbordered.shape == (6, 6)
         assert system.matrix.shape == (7, 7)
         dense = system.matrix.toarray()
@@ -120,7 +128,7 @@ class TestTetBoundarySystem:
     def test_constant_multiplier_in_kernel(self, kind):
         mesh = tet_boundary_mesh()
         space = mixed_space(kind)
-        system = condense_and_assemble(mesh, space, rhs=zero_rhs)
+        system = condense_and_assemble(mesh, space)
         constant = np.zeros(system.n_multipliers)
         if space.multiplier_moments == 1:
             constant[:] = 1.0
@@ -131,7 +139,7 @@ class TestTetBoundarySystem:
     @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
     def test_kernel_dimension_and_positivity(self, kind):
         mesh = tet_boundary_mesh()
-        system = condense_and_assemble(mesh, mixed_space(kind), rhs=zero_rhs)
+        system = condense_and_assemble(mesh, mixed_space(kind))
         eigs = np.linalg.eigvalsh(system.unbordered.toarray())
         scale = eigs.max()
         assert eigs.min() > -1e-12 * scale
@@ -139,14 +147,14 @@ class TestTetBoundarySystem:
 
     def test_zero_source_gives_zero_fields(self):
         mesh = tet_boundary_mesh()
-        fields = solve_hybrid(condense_and_assemble(mesh, mixed_space("rt0"), rhs=zero_rhs))
+        fields = solve_hybrid(condense_and_assemble(mesh, mixed_space("rt0")))
         assert np.abs(fields.u).max() < 1e-13
         assert np.abs(fields.p_local).max() < 1e-13
         assert np.abs(fields.multipliers).max() < 1e-13
 
     def test_effective_condition_number_reported(self):
         mesh = tet_boundary_mesh()
-        system = condense_and_assemble(mesh, mixed_space("rt0"), rhs=zero_rhs)
+        system = condense_and_assemble(mesh, mixed_space("rt0"))
         cond = effective_condition_number(system.unbordered)
         assert np.isfinite(cond) and cond >= 1.0
 

@@ -1,8 +1,18 @@
 """Study driver, CSV/SVG output, and flag handling."""
 
+import hashlib
+
 import pytest
 
-from quasitrace.cli import CSV_COLUMNS, StudyConfig, main, run_study
+from quasitrace.cli import CSV_COLUMNS, StudyConfig, main, report_csv, run_study
+
+# SHA-256 of the CSV text of the session studies (n0 = 8, four levels,
+# neumann postprocessing).  A refactor that keeps the numerics must keep
+# these bytes; a deliberate change of the numerics records new digests.
+STUDY_CSV_SHA256 = {
+    "rt0": "554d5fbe8d2e74f39522c622bf85aef4daeb87ffea78cb115824cef7e1661154",
+    "bdm1": "f06a44ca00c0ba66c292a9c9bc0ba8fbe058e3cfb5bf4a637b4528f07f2d9be6",
+}
 
 
 class TestConfigValidation:
@@ -39,6 +49,11 @@ class TestRunStudy:
         second = lines[2].split(",")
         assert all(cell != "" for cell in second)
         assert (tmp_path / "study.svg").read_text().startswith("<svg")
+
+    def test_study_csv_bytes_pinned(self, study_rt0, study_bdm1):
+        for kind, study in (("rt0", study_rt0), ("bdm1", study_bdm1)):
+            digest = hashlib.sha256(report_csv(study.report).encode()).hexdigest()
+            assert digest == STUDY_CSV_SHA256[kind]
 
     def test_byte_identical_reruns(self, tmp_path):
         config_a = StudyConfig(n0=4, levels=1, output_dir=str(tmp_path / "a"))

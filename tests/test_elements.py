@@ -12,18 +12,21 @@ import pytest
 
 from quasitrace.elements import (
     AffineMap,
+    ERROR_DEGREE,
+    REF_EDGE_LENGTHS,
+    REF_EDGE_NORMALS,
     REF_EDGES,
     REF_VERTICES,
     ScalarElement,
     element_interpolate_hdiv,
+    eval_p1,
     eval_vector,
+    facet_quadrature,
     gauss_01,
     interpolate_hdiv,
-    interpolate_lagrange,
     local_vector_coefficients,
     mixed_space,
     project_l2,
-    push_forward_vector,
     triangle_rule,
 )
 
@@ -75,18 +78,16 @@ class TestUnisolvence:
     def test_dof_matrix_is_identity(self, kind):
         space = mixed_space(kind)
         t, w = gauss_01(8)
-        from quasitrace.elements import _REF_EDGE_LENGTHS, _REF_EDGE_NORMALS
-
         n = space.vector.n_dofs
         dof = np.zeros((n, n))
         for e, (a, b) in enumerate(REF_EDGES):
             pts = (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
-            flux = np.einsum("kqd,d->kq", space.vector.basis(pts), _REF_EDGE_NORMALS[e])
+            flux = np.einsum("kqd,d->kq", space.vector.basis(pts), REF_EDGE_NORMALS[e])
             if space.vector.edge_dofs == 1:
-                dof[e] = _REF_EDGE_LENGTHS[e] * (flux @ w)
+                dof[e] = REF_EDGE_LENGTHS[e] * (flux @ w)
             else:
-                dof[2 * e] = _REF_EDGE_LENGTHS[e] * (flux @ w)
-                dof[2 * e + 1] = _REF_EDGE_LENGTHS[e] * (flux @ (w * (2 * t - 1)))
+                dof[2 * e] = REF_EDGE_LENGTHS[e] * (flux @ w)
+                dof[2 * e + 1] = REF_EDGE_LENGTHS[e] * (flux @ (w * (2 * t - 1)))
         assert np.abs(dof - np.eye(n)).max() < 1e-12
 
 
@@ -95,7 +96,7 @@ class TestPushForward:
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         amap = AffineMap.from_triangles(verts)
         vals = np.array([[0.3, -0.2], [1.0, 0.5]])
-        out = push_forward_vector(amap, vals)
+        out = amap.push_vector(vals[None])[0]
         assert np.allclose(out[:, :2], vals, atol=1e-15)
         assert np.all(out[:, 2] == 0.0)
 
@@ -108,8 +109,6 @@ class TestPushForward:
         """
         rng = np.random.default_rng(30)
         space = mixed_space("bdm1")
-        from quasitrace.elements import _REF_EDGE_LENGTHS, _REF_EDGE_NORMALS
-
         for _ in range(20):
             verts = random_needle(rng, max_aspect=1e3)
             amap = AffineMap.from_triangles(verts)
@@ -117,8 +116,8 @@ class TestPushForward:
             t, w = gauss_01(8)
             for e, (a, b) in enumerate(REF_EDGES):
                 ref_pts = (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
-                ref_flux = _REF_EDGE_LENGTHS[e] * float(
-                    w @ np.einsum("kqd,k,d->q", space.vector.basis(ref_pts), coeffs, _REF_EDGE_NORMALS[e])
+                ref_flux = REF_EDGE_LENGTHS[e] * float(
+                    w @ np.einsum("kqd,k,d->q", space.vector.basis(ref_pts), coeffs, REF_EDGE_NORMALS[e])
                 )
                 vals = amap.push_vector(
                     np.einsum("kqd,k->qd", space.vector.basis(ref_pts), coeffs)[None]
@@ -285,7 +284,7 @@ class TestProjection:
         def cubic(x, faces):
             return x[..., 0] ** 3 - 2.0 * x[..., 1] * x[..., 2] ** 2 + x[..., 0] * x[..., 1]
 
-        nodal = project_l2(mesh, "p1", cubic, degree=6)
+        nodal = project_l2(mesh, "p1", cubic)
         maps = AffineMap.from_triangles(mesh.corner_points())
         pts, wts = triangle_rule(8)
         x = maps.to_physical(pts)
@@ -300,8 +299,9 @@ class TestLagrange:
     def test_affine_reproduced_and_nodal(self, sphere_meshes):
         mesh = sphere_meshes[8]
         c = np.array([0.3, -1.2, 0.4])
-        nodal = interpolate_lagrange(mesh, lambda x: x @ c)
-        assert np.allclose(nodal, mesh.vertices @ c, atol=1e-14)
+        nodal = mesh.vertices @ c
+        quad = facet_quadrature(mesh, ERROR_DEGREE)
+        assert np.allclose(eval_p1(nodal[mesh.triangles], quad.ref_points), quad.points @ c, atol=1e-14)
 
     def test_second_order_on_sphere(self, sphere, problem, sphere_meshes):
         from quasitrace.postprocess_errors import eoc
@@ -309,7 +309,7 @@ class TestLagrange:
         errs, hs = [], []
         for n in (8, 16, 32):
             mesh = sphere_meshes[n]
-            nodal = interpolate_lagrange(mesh, lambda x: problem.u(sphere.closest_point(x)))
+            nodal = problem.u(sphere.closest_point(mesh.vertices))
             maps = AffineMap.from_triangles(mesh.corner_points())
             pts, wts = triangle_rule(6)
             x = maps.to_physical(pts)

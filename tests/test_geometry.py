@@ -13,7 +13,6 @@ from quasitrace.geometry import (
     area_ratio,
     consistency_matrix,
     frame_at,
-    lift_scalar,
     piola_from_surface,
     piola_to_surface,
 )
@@ -296,19 +295,30 @@ class TestLiftScalar:
         rng = np.random.default_rng(19)
         pts = rng.normal(size=(20, 3))
         pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
-        out = lift_scalar(lambda x: np.full(x.shape[:-1], 4.25), sphere, pts * 1.1)
+
+        def constant(x):
+            return np.full(x.shape[:-1], 4.25)
+
+        out = constant(frame_at(sphere, pts * 1.1, pts).closest)
         assert np.all(out == 4.25)
 
     def test_vertical_coordinate_above_pole(self, sphere):
-        val = lift_scalar(lambda x: x[..., 2], sphere, np.array([0.0, 0.0, 1.1]))
+        val = frame_at(sphere, np.array([0.0, 0.0, 1.1]), np.array([0.0, 0.0, 1.0])).closest[..., 2]
         assert val == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_normalized_evaluation(self, sphere, problem):
         rng = np.random.default_rng(20)
         x = random_tube_points(rng, 100)
-        lifted = lift_scalar(problem.u, sphere, x)
-        direct = problem.u(x / np.linalg.norm(x, axis=-1, keepdims=True))
+        normals = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        lifted = problem.u(frame_at(sphere, x, normals).closest)
+        direct = problem.u(normals)
         assert np.abs(lifted - direct).max() < 1e-13
+
+    def test_frame_closest_is_the_closest_point_map(self, sphere):
+        rng = np.random.default_rng(21)
+        x = random_tube_points(rng, 100)
+        normals = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        assert np.array_equal(frame_at(sphere, x, normals).closest, sphere.closest_point(x))
 
 
 class TestAreaRatioBound:

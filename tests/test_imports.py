@@ -1,0 +1,31 @@
+"""Package structure: modules share only public names."""
+
+import ast
+from pathlib import Path
+
+import quasitrace
+
+PACKAGE = Path(quasitrace.__file__).parent
+
+
+def private_imports(path: Path) -> list[str]:
+    """``from <package module> import _name`` statements in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("quasitrace"):
+            continue
+        found += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_private_names_across_modules():
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in private_imports(path)]
+    assert offenders == []
+
+
+def test_check_sees_a_private_import(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("from .elements import _hidden, visible\nfrom numpy import _private\n")
+    assert private_imports(source) == ["mod.py: _hidden"]

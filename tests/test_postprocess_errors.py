@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from quasitrace.assembly import SolutionFields, build_rhs, condense_and_assemble, solve_hybrid
-from quasitrace.elements import AffineMap, element_interpolate_hdiv, mixed_space, project_l2, triangle_rule
+from quasitrace.assembly import RhsField, SolutionFields, build_rhs, condense_and_assemble, solve_hybrid
+from quasitrace.elements import (
+    ASSEMBLY_DEGREE,
+    AffineMap,
+    element_interpolate_hdiv,
+    mixed_space,
+    project_l2,
+    triangle_rule,
+)
 from quasitrace.postprocess_errors import (
     compute_errors,
     eoc,
@@ -86,7 +93,9 @@ class TestPostprocessing:
         fields = affine_consistency_fields(mesh, space, direction, offset)
 
         exact_nodal = (mesh.corner_points() @ direction) + offset
-        star_n = postprocess_neumann(mesh, space, fields, lambda x, f: np.zeros(x.shape[:-1]))
+        n_points = len(triangle_rule(ASSEMBLY_DEGREE)[1])
+        zero_load = RhsField(values=np.zeros((mesh.n_triangles, n_points)), mean_correction=0.0, norm=0.0)
+        star_n = postprocess_neumann(mesh, space, fields, zero_load)
         star_g = postprocess_gradient(mesh, space, fields)
         assert np.abs(star_n - exact_nodal).max() < 1e-12
         assert np.abs(star_g - exact_nodal).max() < 1e-12
