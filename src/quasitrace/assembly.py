@@ -7,12 +7,14 @@ postprocessing integrate those mean-free samples.
 The broken mixed saddle problem is solved by hybridization: per facet the
 vector mass block A, the divergence row b and the load F form the symmetric
 indefinite block K = [[A, -b^T], [-b, 0]].  Coupling to the per-edge
-multiplier moments is a signed identity scatter (constant moments couple
-with +1 on both sides of an edge, odd linear moments with the edge-direction
-sign), so static condensation reduces to gathering sign-adjusted blocks of
-K^{-1}.  The condensed matrix is symmetric positive semidefinite with the
-constant multiplier in its kernel; a single dense bordering row enforces a
-zero facet-mean of the scalar and makes the system nonsingular.
+multiplier moments is a signed identity scatter whose numbering and signs
+come from ``elements.edge_dofs`` (constant moments couple with +1 on both
+sides of an edge, odd linear moments with the edge-direction sign), so
+static condensation reduces to gathering sign-adjusted blocks of K^{-1}.
+The condensed matrix is symmetric positive semidefinite with the constant
+multiplier in its kernel; a single dense bordering row enforces a zero
+facet-mean of the scalar and makes the system nonsingular.  The same map
+embeds global coefficients in the conforming cross-check matrices.
 
 A direct solve of the full conforming indefinite system (with a scalar
 Lagrange multiplier for the mean constraint) is provided as an independent
@@ -29,7 +31,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .elements import ASSEMBLY_DEGREE, AffineMap, MixedSpace, facet_quadrature, local_vector_coefficients
+from .elements import (
+    ASSEMBLY_DEGREE,
+    AffineMap,
+    EdgeDofs,
+    MixedSpace,
+    edge_dofs,
+    facet_quadrature,
+    global_vector_coefficients,
+    local_vector_coefficients,
+)
 from .geometry import SurfaceField, area_ratio, frame_at
 from .trace_mesh import TraceMesh
 
@@ -44,7 +55,6 @@ __all__ = [
     "solve_hybrid",
     "solve_saddle_point",
     "conforming_matrices",
-    "global_vector_coefficients",
     "conformity_defect",
     "effective_condition_number",
 ]
@@ -129,45 +139,21 @@ def assemble_local_blocks(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | No
     return LocalBlocks(mass=mass, div=div_row, load=load, maps=maps)
 
 
-def _multiplier_layout(mesh: TraceMesh, space: MixedSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-facet multiplier dof ids, coupling signs, and conforming signs.
-
-    Coupling signs enter the continuity constraint (outward fluxes of the two
-    facets cancel); conforming signs embed a globally oriented coefficient
-    vector into facet-local coefficients.  The two patterns are dual: the
-    sign sits on the constant moment in one and on the odd moment in the
-    other.
-    """
-    ge = mesh.face_edges
-    sg = mesh.face_edge_signs
-    if space.vector.edge_dofs == 1:
-        return ge.copy(), np.ones_like(sg), sg.copy()
-    nf = len(mesh.triangles)
-    gdof = np.empty((nf, 6), dtype=int)
-    gdof[:, 0::2] = 2 * ge
-    gdof[:, 1::2] = 2 * ge + 1
-    csign = np.ones((nf, 6))
-    msign = np.ones((nf, 6))
-    csign[:, 0::2] = sg
-    msign[:, 1::2] = sg
-    return gdof, msign, csign
-
-
 @dataclass
 class HybridSystem:
     """Condensed edge-multiplier system plus the data to recover the fields."""
 
-    matrix: sp.csc_matrix          # bordered symmetric system
-    unbordered: sp.csr_matrix      # condensed multiplier matrix (PSD)
+    matrix: sp.csc_matrix          # condensed multiplier matrix (PSD), bordered by the mean row
     rhs: np.ndarray
     kinv: np.ndarray               # (F, nq+1, nq+1) inverses of the local saddle blocks
-    gdof: np.ndarray
-    msign: np.ndarray
-    areas: np.ndarray
+    dofs: EdgeDofs
     blocks: LocalBlocks
     mesh: TraceMesh
     space: MixedSpace
-    n_multipliers: int
+
+    @property
+    def n_multipliers(self) -> int:
+        return self.dofs.size
 
 
 def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None = None) -> HybridSystem:
@@ -191,43 +177,31 @@ def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | No
         raise RuntimeError("singular local elimination block") from exc
     kinv = scale[:, :, None] * kinv * scale[:, None, :]
 
-    gdof, msign, _ = _multiplier_layout(mesh, space)
-    n_mult = space.multiplier_moments * mesh.n_edges
+    dofs = edge_dofs(mesh, space)
+    ids, sign, n_mult = dofs.ids, dofs.coupling, dofs.size
 
-    s_blocks = msign[:, :, None] * msign[:, None, :] * kinv[:, :nq, :nq]
-    rows = np.broadcast_to(gdof[:, :, None], s_blocks.shape)
-    cols = np.broadcast_to(gdof[:, None, :], s_blocks.shape)
+    s_blocks = sign[:, :, None] * sign[:, None, :] * kinv[:, :nq, :nq]
+    rows = np.broadcast_to(ids[:, :, None], s_blocks.shape)
+    cols = np.broadcast_to(ids[:, None, :], s_blocks.shape)
     s_mat = sp.coo_matrix(
         (s_blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n_mult, n_mult)
     ).tocsr()
 
-    g_loc = -msign * blocks.load[:, None] * kinv[:, :nq, nq]
+    g_loc = -sign * blocks.load[:, None] * kinv[:, :nq, nq]
     g = np.zeros(n_mult)
-    np.add.at(g, gdof.ravel(), g_loc.ravel())
+    np.add.at(g, ids.ravel(), g_loc.ravel())
 
     areas = 0.5 * blocks.maps.jac
-    w_loc = -msign * areas[:, None] * kinv[:, :nq, nq]
+    w_loc = -sign * areas[:, None] * kinv[:, :nq, nq]
     w = np.zeros(n_mult)
-    np.add.at(w, gdof.ravel(), w_loc.ravel())
+    np.add.at(w, ids.ravel(), w_loc.ravel())
     w_shift = float((-blocks.load * areas * kinv[:, nq, nq]).sum())
 
     bordered = sp.bmat(
         [[s_mat, sp.csc_matrix(w[:, None])], [sp.csc_matrix(w[None, :]), None]], format="csc"
     )
     full_rhs = np.concatenate([g, [-w_shift]])
-    return HybridSystem(
-        matrix=bordered,
-        unbordered=s_mat,
-        rhs=full_rhs,
-        kinv=kinv,
-        gdof=gdof,
-        msign=msign,
-        areas=areas,
-        blocks=blocks,
-        mesh=mesh,
-        space=space,
-        n_multipliers=n_mult,
-    )
+    return HybridSystem(matrix=bordered, rhs=full_rhs, kinv=kinv, dofs=dofs, blocks=blocks, mesh=mesh, space=space)
 
 
 @dataclass
@@ -243,9 +217,9 @@ class SolutionFields:
     residual_balance: float = np.nan   # relative defect of the balance equation
 
 
-def _residuals(mesh: TraceMesh, space: MixedSpace, blocks: LocalBlocks, p_local: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    a_mat, b_mat = conforming_matrices(mesh, space, blocks)
-    p_glob = global_vector_coefficients(mesh, space, p_local)
+def _residuals(dofs: EdgeDofs, blocks: LocalBlocks, p_local: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    a_mat, b_mat = conforming_matrices(dofs, blocks)
+    p_glob = global_vector_coefficients(dofs, p_local)
     r1 = a_mat @ p_glob - b_mat.T @ u
     scale1 = np.linalg.norm(a_mat @ p_glob) + np.linalg.norm(b_mat.T @ u)
     r2 = np.einsum("fk,fk->f", blocks.div, p_local) - blocks.load
@@ -255,14 +229,18 @@ def _residuals(mesh: TraceMesh, space: MixedSpace, blocks: LocalBlocks, p_local:
     return res1, res2
 
 
-def solve_hybrid(system: HybridSystem, check_residuals: bool = True) -> SolutionFields:
-    """Direct solve of the bordered multiplier system and facet-wise recovery."""
+def solve_hybrid(system: HybridSystem) -> SolutionFields:
+    """Direct solve of the bordered multiplier system and facet-wise recovery.
+
+    Both residuals of the recovered fields are recorded; a warning is raised
+    when either exceeds 1e-8.
+    """
     try:
         sol = _direct_solve(system.matrix, system.rhs)
     except RuntimeError as exc:
         cond = "n/a"
         if system.n_multipliers <= 2000:
-            cond = f"{effective_condition_number(system.unbordered):.3e}"
+            cond = f"{effective_condition_number(system.matrix[:-1, :-1]):.3e}"
         raise RuntimeError(
             f"factorization of the multiplier system failed "
             f"({system.n_multipliers} unknowns, effective condition {cond})"
@@ -272,7 +250,7 @@ def solve_hybrid(system: HybridSystem, check_residuals: bool = True) -> Solution
     lam = sol[:-1]
     nq = system.space.vector.n_dofs
     rhs_loc = np.empty((len(system.mesh.triangles), nq + 1))
-    rhs_loc[:, :nq] = -system.msign * lam[system.gdof]
+    rhs_loc[:, :nq] = -system.dofs.coupling * lam[system.dofs.ids]
     rhs_loc[:, nq] = -system.blocks.load
     x = np.einsum("fij,fj->fi", system.kinv, rhs_loc)
     p_local = x[:, :nq]
@@ -282,67 +260,46 @@ def solve_hybrid(system: HybridSystem, check_residuals: bool = True) -> Solution
         u=u,
         multipliers=lam,
         space=system.space.name,
-        mean_u=float((system.areas * u).sum()),
+        mean_u=float((0.5 * system.blocks.maps.jac * u).sum()),
     )
-    if check_residuals:
-        res1, res2 = _residuals(system.mesh, system.space, system.blocks, p_local, u)
-        fields.residual_flux = res1
-        fields.residual_balance = res2
-        # degenerate cut facets push the flux-equation residual above the
-        # exact-arithmetic level; 1e-8 matches the conditioning slack of the
-        # hybrid / direct equivalence
-        if max(res1, res2) > 1e-8:
-            warnings.warn(
-                f"discrete equations satisfied only to {max(res1, res2):.3e} "
-                "(ill-conditioned multiplier system)",
-                stacklevel=2,
-            )
+    res1, res2 = _residuals(system.dofs, system.blocks, p_local, u)
+    fields.residual_flux = res1
+    fields.residual_balance = res2
+    # degenerate cut facets push the flux-equation residual above the
+    # exact-arithmetic level; 1e-8 matches the conditioning slack of the
+    # hybrid / direct equivalence
+    if max(res1, res2) > 1e-8:
+        warnings.warn(
+            f"discrete equations satisfied only to {max(res1, res2):.3e} "
+            "(ill-conditioned multiplier system)",
+            stacklevel=2,
+        )
     return fields
 
 
-def conforming_matrices(mesh: TraceMesh, space: MixedSpace, blocks: LocalBlocks) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def conforming_matrices(dofs: EdgeDofs, blocks: LocalBlocks) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Assemble the conforming vector mass and divergence matrices from local blocks.
 
-    Global vector dofs are edge moments ordered edge-major; rows of the
-    divergence matrix correspond to facets (constant scalars).
+    Global vector dofs are the edge moments numbered by ``dofs``; rows of
+    the divergence matrix correspond to facets (constant scalars).
     """
-    gdof, _, csign = _multiplier_layout(mesh, space)
-    n_p = space.multiplier_moments * mesh.n_edges
-    nf = len(mesh.triangles)
+    ids, sign, n_p = dofs.ids, dofs.conforming, dofs.size
+    nf = len(blocks.div)
 
-    a_blocks = csign[:, :, None] * csign[:, None, :] * blocks.mass
-    rows = np.broadcast_to(gdof[:, :, None], a_blocks.shape)
-    cols = np.broadcast_to(gdof[:, None, :], a_blocks.shape)
+    a_blocks = sign[:, :, None] * sign[:, None, :] * blocks.mass
+    rows = np.broadcast_to(ids[:, :, None], a_blocks.shape)
+    cols = np.broadcast_to(ids[:, None, :], a_blocks.shape)
     a_mat = sp.coo_matrix((a_blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n_p, n_p)).tocsr()
 
-    b_data = csign * blocks.div
-    b_rows = np.broadcast_to(np.arange(nf)[:, None], gdof.shape)
-    b_mat = sp.coo_matrix((b_data.ravel(), (b_rows.ravel(), gdof.ravel())), shape=(nf, n_p)).tocsr()
+    b_data = sign * blocks.div
+    b_rows = np.broadcast_to(np.arange(nf)[:, None], ids.shape)
+    b_mat = sp.coo_matrix((b_data.ravel(), (b_rows.ravel(), ids.ravel())), shape=(nf, n_p)).tocsr()
     return a_mat, b_mat
 
 
-def global_vector_coefficients(mesh: TraceMesh, space: MixedSpace, p_local: np.ndarray) -> np.ndarray:
-    """Read globally oriented edge coefficients off the edge-agreeing facets."""
-    plus_face = mesh.edge_faces[:, 0]
-    plus_local = mesh.edge_local[:, 0]
-    if space.vector.edge_dofs == 1:
-        return p_local[plus_face, plus_local]
-    out = np.empty(2 * mesh.n_edges)
-    out[0::2] = p_local[plus_face, 2 * plus_local]
-    out[1::2] = p_local[plus_face, 2 * plus_local + 1]
-    return out
-
-
-def conformity_defect(mesh: TraceMesh, space: MixedSpace, p_local: np.ndarray) -> float:
+def conformity_defect(dofs: EdgeDofs, p_local: np.ndarray) -> float:
     """Largest disagreement of shared edge moments read from the two sides."""
-    plus_face, minus_face = mesh.edge_faces[:, 0], mesh.edge_faces[:, 1]
-    plus_local, minus_local = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
-    if space.vector.edge_dofs == 1:
-        gap = p_local[plus_face, plus_local] + p_local[minus_face, minus_local]
-        return float(np.abs(gap).max())
-    gap0 = p_local[plus_face, 2 * plus_local] + p_local[minus_face, 2 * minus_local]
-    gap1 = p_local[plus_face, 2 * plus_local + 1] - p_local[minus_face, 2 * minus_local + 1]
-    return float(max(np.abs(gap0).max(), np.abs(gap1).max()))
+    return float(np.abs(p_local - local_vector_coefficients(dofs, global_vector_coefficients(dofs, p_local))).max())
 
 
 def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None = None) -> SolutionFields:
@@ -353,7 +310,8 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None 
     Intended for moderate problem sizes.
     """
     blocks = assemble_local_blocks(mesh, space, rhs=rhs)
-    a_mat, b_mat = conforming_matrices(mesh, space, blocks)
+    dofs = edge_dofs(mesh, space)
+    a_mat, b_mat = conforming_matrices(dofs, blocks)
     nf = len(mesh.triangles)
     areas = 0.5 * blocks.maps.jac
     area_col = sp.csc_matrix(areas[:, None])
@@ -371,7 +329,7 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None 
         raise RuntimeError("saddle-point solve produced non-finite values")
     p_glob = sol[: a_mat.shape[0]]
     u = sol[a_mat.shape[0] : a_mat.shape[0] + nf]
-    p_local = local_vector_coefficients(mesh, space, p_glob)
+    p_local = local_vector_coefficients(dofs, p_glob)
     fields = SolutionFields(
         p_local=p_local,
         u=u,
@@ -379,7 +337,7 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None 
         space=space.name,
         mean_u=float((areas * u).sum()),
     )
-    res1, res2 = _residuals(mesh, space, blocks, p_local, u)
+    res1, res2 = _residuals(dofs, blocks, p_local, u)
     fields.residual_flux = res1
     fields.residual_balance = res2
     return fields

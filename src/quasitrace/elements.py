@@ -6,7 +6,9 @@ vertices (0,0), (1,0), (0,1); scalars are piecewise constants (``p0``) or
 linears (``p1``).  Vector degrees of freedom are edge-normal moments against
 constants (rt0) or constants and the odd linear weight 2*t - 1 (bdm1), which
 keeps the cross-facet orientation bookkeeping to a single sign per edge even
-when adjacent facets are not coplanar.
+when adjacent facets are not coplanar.  ``edge_dofs`` is the one place that
+numbers the moments globally and signs them per facet; every map between
+facet-local and global coefficients goes through it.
 
 Physical facets are images of the reference triangle under affine maps with
 a 3x2 derivative; vector fields are pushed with the flux-preserving scaling
@@ -39,12 +41,13 @@ __all__ = [
     "AffineMap",
     "FacetQuadrature",
     "facet_quadrature",
-    "element_interpolate_hdiv",
+    "EdgeDofs",
+    "edge_dofs",
     "interpolate_hdiv",
     "local_vector_coefficients",
+    "global_vector_coefficients",
     "project_l2",
     "eval_vector",
-    "eval_divergence",
     "eval_p1",
 ]
 
@@ -55,6 +58,7 @@ REF_EDGES = ((1, 2), (2, 0), (0, 1))
 REF_EDGE_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 REF_EDGE_NORMALS[0] /= np.sqrt(2.0)
 REF_EDGE_LENGTHS = np.array([np.sqrt(2.0), 1.0, 1.0])
+_EDGE_START, _EDGE_END = np.array(REF_EDGES).T
 
 # Triangle-rule degrees: the assembly rule integrates the piecewise-polynomial
 # mass integrands exactly for both spaces and carries the load; the error
@@ -179,21 +183,15 @@ class ScalarElement:
 
 @dataclass(frozen=True)
 class MixedSpace:
-    """Vector/scalar/multiplier bundle for the mixed method."""
+    """The vector element of the mixed method; scalars are facet constants."""
 
     name: str
     vector: VectorElement
-    scalar: ScalarElement
-
-    @property
-    def multiplier_moments(self) -> int:
-        """Edge multiplier moments per edge (matches the vector edge dofs)."""
-        return self.vector.edge_dofs
 
 
 @lru_cache(maxsize=None)
 def mixed_space(name: str) -> MixedSpace:
-    return MixedSpace(name=name, vector=VectorElement(name), scalar=ScalarElement("p0"))
+    return MixedSpace(name=name, vector=VectorElement(name))
 
 
 @dataclass(frozen=True)
@@ -249,14 +247,6 @@ class AffineMap:
         """Flux-preserving push of reference vectors (F, Q, 2) -> (F, Q, 3)."""
         return np.einsum("fid,fqd->fqi", self.A, ref_vals) / self.jac[:, None, None]
 
-    def push_divergence(self, ref_divs: np.ndarray) -> np.ndarray:
-        """Divergence transforms with 1 / jac under the flux-preserving push."""
-        return np.asarray(ref_divs, dtype=float) / self.jac[:, None]
-
-    def scalar_gradient(self, ref_grads: np.ndarray) -> np.ndarray:
-        """In-plane gradient of a composed scalar: A metric_inv grad_ref."""
-        return np.einsum("fid,fde,fqe->fqi", self.A, self.metric_inv, ref_grads)
-
 
 @dataclass(frozen=True)
 class FacetQuadrature:
@@ -285,75 +275,74 @@ def facet_quadrature(mesh, degree: int) -> FacetQuadrature:
     )
 
 
-def element_interpolate_hdiv(space: MixedSpace, verts: np.ndarray, field) -> np.ndarray:
-    """Edge-moment interpolation of a tangential field on a single facet.
+@dataclass(frozen=True)
+class EdgeDofs:
+    """Global numbering and per-facet signs of the vector edge moments.
 
-    ``field`` maps points (N, 3) to vectors (N, 3).  Returns the local
-    coefficient vector in the element's own edge orientation.
+    Global moments are numbered edge-major, the constant moment of an edge
+    before its odd one, and oriented by the edge direction (increasing vertex
+    ids).  A facet traversing an edge against that direction sees its
+    constant moment flipped, while the odd moment keeps its sign because the
+    weight 2*t - 1 and the conormal flip together.  The continuity constraint
+    of the hybrid system carries the dual pattern: outward fluxes of the two
+    facets cancel, so the sign sits on the odd moment instead.
     """
-    verts = np.asarray(verts, dtype=float)
-    n_face = np.cross(verts[1] - verts[0], verts[2] - verts[0])
-    n_face = n_face / np.linalg.norm(n_face)
+
+    ids: np.ndarray         # (F, nq) global moment of each local dof
+    conforming: np.ndarray  # (F, nq) sign taking global to facet-local coefficients
+    coupling: np.ndarray    # (F, nq) sign of each local dof in the continuity constraint
+    plus: np.ndarray        # (F, nq) True where the facet runs along the edge direction
+    size: int               # number of global moments
+
+
+def edge_dofs(mesh, space: MixedSpace) -> EdgeDofs:
+    """Number and sign the edge moments of ``space`` on every facet of ``mesh``."""
+    m = space.vector.edge_dofs
+    moment = np.tile(np.arange(m), 3)       # 0: constant weight, 1: odd weight
+    sign = np.repeat(mesh.face_edge_signs, m, axis=1)
+    odd = moment == 1
+    return EdgeDofs(
+        ids=m * np.repeat(mesh.face_edges, m, axis=1) + moment,
+        conforming=np.where(odd, 1.0, sign),
+        coupling=np.where(odd, sign, 1.0),
+        plus=sign > 0,
+        size=m * mesh.n_edges,
+    )
+
+
+def interpolate_hdiv(corners: np.ndarray, space: MixedSpace, field) -> np.ndarray:
+    """Edge-moment interpolation of a tangential field, facet by facet.
+
+    ``corners`` holds the facet vertices (F, 3, 3).  ``field(points,
+    faces)`` evaluates the field at edge points (F, 3, q, 3) of the facets
+    (F, 3, q).  Returns the local coefficients (F, nq) in each facet's own
+    edge orientation; conormal-continuous fields give conforming ones.
+    """
+    corners = np.asarray(corners, dtype=float)
+    start = corners[:, _EDGE_START]
+    vec = corners[:, _EDGE_END] - start                          # (F, 3, 3)
+    length = np.linalg.norm(vec, axis=-1)
+    normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    conormal = np.cross(vec / length[..., None], normal[:, None, :])
     t, w = gauss_01(EDGE_GAUSS_POINTS)
-    coeffs = np.empty(space.vector.n_dofs)
-    for e, (a, b) in enumerate(REF_EDGES):
-        pa, pb = verts[a], verts[b]
-        length = np.linalg.norm(pb - pa)
-        tang = (pb - pa) / length
-        conormal = np.cross(tang, n_face)
-        pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
-        flux = field(pts) @ conormal
-        if space.vector.edge_dofs == 1:
-            coeffs[e] = length * (w @ flux)
-        else:
-            coeffs[2 * e] = length * (w @ flux)
-            coeffs[2 * e + 1] = length * ((w * (2.0 * t - 1.0)) @ flux)
-    return coeffs
+    pts = start[:, :, None, :] + t[:, None] * vec[:, :, None, :]
+    faces = np.broadcast_to(np.arange(len(corners))[:, None, None], pts.shape[:3])
+    flux = np.einsum("fkqi,fki->fkq", field(pts, faces), conormal)
+    weights = np.stack([w, w * (2.0 * t - 1.0)])[: space.vector.edge_dofs]
+    moments = length[..., None] * np.einsum("fkq,mq->fkm", flux, weights)
+    return moments.reshape(len(corners), -1)
 
 
-def interpolate_hdiv(mesh, space: MixedSpace, field) -> np.ndarray:
-    """Global edge-moment interpolation on a facet mesh.
-
-    ``field(points, faces)`` evaluates the target field at points (E, q, 3)
-    in the context of face indices (E, q); moments are taken from the side
-    of the face in which the edge runs with increasing vertex index.
-    Conormal-continuous inputs give side-independent values.
-    """
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    plus = mesh.edge_faces[:, 0]
-    xi, xj = mesh.vertices[i], mesh.vertices[j]
-    length = np.linalg.norm(xj - xi, axis=-1)
-    tang = (xj - xi) / length[:, None]
-    conormal = np.cross(tang, mesh.face_normals[plus])
-    conormal /= np.linalg.norm(conormal, axis=-1, keepdims=True)
-    t, w = gauss_01(EDGE_GAUSS_POINTS)
-    pts = xi[:, None, :] + t[None, :, None] * (xj - xi)[:, None, :]
-    faces = np.broadcast_to(plus[:, None], pts.shape[:2])
-    flux = np.einsum("eqi,ei->eq", field(pts, faces), conormal)
-    m0 = length * (flux @ w)
-    if space.vector.edge_dofs == 1:
-        return m0
-    m1 = length * (flux @ (w * (2.0 * t - 1.0)))
-    out = np.empty(2 * len(mesh.edges))
-    out[0::2] = m0
-    out[1::2] = m1
-    return out
+def local_vector_coefficients(dofs: EdgeDofs, global_coeffs: np.ndarray) -> np.ndarray:
+    """Scatter globally oriented edge moments to per-facet local ones."""
+    return dofs.conforming * np.asarray(global_coeffs, dtype=float)[dofs.ids]
 
 
-def local_vector_coefficients(mesh, space: MixedSpace, global_coeffs: np.ndarray) -> np.ndarray:
-    """Scatter globally oriented edge coefficients to per-facet local ones.
-
-    Constant moments pick up the edge-direction sign; odd linear moments are
-    direction independent (the weight and the flux flip together).
-    """
-    ge = mesh.face_edges
-    sg = mesh.face_edge_signs
-    global_coeffs = np.asarray(global_coeffs, dtype=float)
-    if space.vector.edge_dofs == 1:
-        return sg * global_coeffs[ge]
-    out = np.empty((len(mesh.triangles), 6))
-    out[:, 0::2] = sg * global_coeffs[2 * ge]
-    out[:, 1::2] = global_coeffs[2 * ge + 1]
+def global_vector_coefficients(dofs: EdgeDofs, p_local: np.ndarray) -> np.ndarray:
+    """Read globally oriented edge moments off the facets along each edge."""
+    out = np.empty(dofs.size)
+    out[dofs.ids[dofs.plus]] = p_local[dofs.plus]
     return out
 
 
@@ -382,11 +371,6 @@ def eval_vector(maps: AffineMap, space: MixedSpace, local_coeffs: np.ndarray, re
     """Evaluate a broken H(div) field at reference points, giving (F, Q, 3)."""
     bas = space.vector.basis(ref_pts)
     return maps.push_vector(np.einsum("kqd,fk->fqd", bas, local_coeffs))
-
-
-def eval_divergence(maps: AffineMap, space: MixedSpace, local_coeffs: np.ndarray) -> np.ndarray:
-    """Facet-wise (constant) surface divergence of a broken H(div) field."""
-    return (local_coeffs @ space.vector.divergence()) / maps.jac
 
 
 def eval_p1(nodal: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:

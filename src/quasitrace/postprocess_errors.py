@@ -28,10 +28,12 @@ from .elements import (
     REF_VERTICES,
     REF_EDGE_LENGTHS,
     REF_EDGE_NORMALS,
+    edge_dofs,
     eval_p1,
     eval_vector,
     facet_quadrature,
     gauss_01,
+    global_vector_coefficients,
     interpolate_hdiv,
     local_vector_coefficients,
     project_l2,
@@ -116,7 +118,7 @@ def transformed_exact_flux(surface: SurfaceField, problem: ManufacturedProblem, 
     return evaluator
 
 
-def _postprocess_common(mesh: TraceMesh, rhs_meanfree: np.ndarray, u_mean: np.ndarray, maps: AffineMap) -> np.ndarray:
+def _postprocess_common(rhs_meanfree: np.ndarray, u_mean: np.ndarray, maps: AffineMap) -> np.ndarray:
     """Solve the 2x2 mean-free systems and attach the facet means."""
     # Stiffness of the mean-free basis is |T| * metric_inv: the reference
     # gradients are the coordinate directions.  Its determinant is exactly
@@ -153,7 +155,7 @@ def postprocess_neumann(mesh: TraceMesh, space: MixedSpace, fields: SolutionFiel
         ph_flux = np.einsum("fk,kq->fq", fields.p_local, flux)
         vedge = np.stack([epts[:, 0] - 1.0 / 3.0, epts[:, 1] - 1.0 / 3.0])
         rhs_local -= REF_EDGE_LENGTHS[e] * np.einsum("q,fq,iq->fi", w, ph_flux, vedge)
-    return _postprocess_common(mesh, rhs_local, fields.u, maps)
+    return _postprocess_common(rhs_local, fields.u, maps)
 
 
 def postprocess_gradient(mesh: TraceMesh, space: MixedSpace, fields: SolutionFields) -> np.ndarray:
@@ -166,16 +168,21 @@ def postprocess_gradient(mesh: TraceMesh, space: MixedSpace, fields: SolutionFie
     quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
     phat = np.einsum("kqd,fk->fqd", space.vector.basis(quad.ref_points), fields.p_local)
     rhs = -np.einsum("q,fqi->fi", quad.weights, phat)
-    return _postprocess_common(mesh, rhs, fields.u, quad.maps)
+    return _postprocess_common(rhs, fields.u, quad.maps)
 
 
 def injected_exact_fields(
     mesh: TraceMesh, surface: SurfaceField, space: MixedSpace, problem: ManufacturedProblem
 ) -> SolutionFields:
-    """Best-approximation stand-in for a solve: projected scalar, interpolated vector."""
+    """Best-approximation stand-in for a solve: projected scalar, interpolated vector.
+
+    Each edge moment is taken on the facet running along the edge direction
+    and shared with the facet across the edge.
+    """
     u_proj = project_l2(mesh, "p0", lambda x, f: problem.u(surface.closest_point(x)))
-    p_glob = interpolate_hdiv(mesh, space, transformed_exact_flux(surface, problem, mesh))
-    p_local = local_vector_coefficients(mesh, space, p_glob)
+    dofs = edge_dofs(mesh, space)
+    moments = interpolate_hdiv(mesh.corner_points(), space, transformed_exact_flux(surface, problem, mesh))
+    p_local = local_vector_coefficients(dofs, global_vector_coefficients(dofs, moments))
     areas = mesh.areas()
     return SolutionFields(
         p_local=p_local,

@@ -13,7 +13,7 @@ from quasitrace import (
     extract_trace_surface,
 )
 from quasitrace.cli import StudyConfig, run_study
-from quasitrace.elements import AffineMap, eval_vector, triangle_rule
+from quasitrace.elements import AffineMap, eval_vector, interpolate_hdiv, triangle_rule
 from quasitrace.postprocess_errors import manufactured_sphere
 
 DEFAULT_BOX = ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0))
@@ -72,6 +72,15 @@ def random_needle(rng: np.random.Generator, max_aspect: float = 1e4) -> np.ndarr
     apex_x = rng.uniform(0.0, 5.0) * height
     flat = np.array([[0.0, 0.0, 0.0], [length, 0.0, 0.0], [apex_x, height, 0.0]])
     return flat @ random_rotation(rng).T + rng.uniform(-1.0, 1.0, size=3)
+
+
+def interpolate_facet(space, verts, field) -> np.ndarray:
+    """Edge moments on one facet of a field mapping points (N, 3) to vectors (N, 3)."""
+
+    def batched(pts, faces):
+        return field(pts.reshape(-1, 3)).reshape(pts.shape)
+
+    return interpolate_hdiv(np.asarray(verts, dtype=float)[None], space, batched)[0]
 
 
 def l2_vector_diff(mesh: TraceMesh, space, coeffs_a, coeffs_b, degree: int = 6) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from quasitrace.assembly import build_rhs, condense_and_assemble, solve_hybrid, solve_saddle_point
-from quasitrace.elements import element_interpolate_hdiv, mixed_space
+from quasitrace.elements import mixed_space
 from quasitrace.geometry import frame_at, piola_from_surface, piola_to_surface
 from quasitrace.postprocess_errors import (
     compute_errors,
@@ -19,7 +19,7 @@ from quasitrace.postprocess_errors import (
     postprocess_neumann,
 )
 
-from conftest import l2_scalar_diff, l2_vector_diff, random_needle
+from conftest import interpolate_facet, l2_scalar_diff, l2_vector_diff, random_needle
 from test_elements import boundary_flux
 from test_geometry import random_frames
 
@@ -112,7 +112,7 @@ def test_criterion_5_commuting_diagram():
                 )
                 return np.einsum("id,dm,mq->qi", amap.A[0], quad_coeff, monomials)
 
-            coeffs = element_interpolate_hdiv(space, verts, field)
+            coeffs = interpolate_facet(space, verts, field)
             lhs = float(coeffs @ (0.5 * space.vector.divergence()))
             rhs = boundary_flux(verts, field)
             worst = max(worst, abs(lhs - rhs))

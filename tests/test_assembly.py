@@ -1,5 +1,7 @@
 """Hybridized solve, saddle-point cross-check, and load construction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,18 @@ from quasitrace.assembly import (
     conforming_matrices,
     conformity_defect,
     effective_condition_number,
-    global_vector_coefficients,
     solve_hybrid,
     solve_saddle_point,
 )
-from quasitrace.elements import ASSEMBLY_DEGREE, AffineMap, mixed_space, triangle_rule
+from quasitrace.elements import (
+    ASSEMBLY_DEGREE,
+    AffineMap,
+    edge_dofs,
+    global_vector_coefficients,
+    local_vector_coefficients,
+    mixed_space,
+    triangle_rule,
+)
 from quasitrace.geometry import area_ratio, frame_at
 
 from conftest import (
@@ -119,7 +128,7 @@ class TestTetBoundarySystem:
     def test_structure_and_symmetry(self):
         mesh = tet_boundary_mesh()
         system = condense_and_assemble(mesh, mixed_space("rt0"))
-        assert system.unbordered.shape == (6, 6)
+        assert system.matrix[:-1, :-1].shape == (6, 6)
         assert system.matrix.shape == (7, 7)
         dense = system.matrix.toarray()
         assert np.abs(dense - dense.T).max() < 1e-14 * max(1.0, np.abs(dense).max())
@@ -130,17 +139,17 @@ class TestTetBoundarySystem:
         space = mixed_space(kind)
         system = condense_and_assemble(mesh, space)
         constant = np.zeros(system.n_multipliers)
-        if space.multiplier_moments == 1:
+        if space.vector.edge_dofs == 1:
             constant[:] = 1.0
         else:
             constant[0::2] = 1.0
-        assert np.abs(system.unbordered @ constant).max() < 1e-12
+        assert np.abs(system.matrix[:-1, :-1] @ constant).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
     def test_kernel_dimension_and_positivity(self, kind):
         mesh = tet_boundary_mesh()
         system = condense_and_assemble(mesh, mixed_space(kind))
-        eigs = np.linalg.eigvalsh(system.unbordered.toarray())
+        eigs = np.linalg.eigvalsh(system.matrix[:-1, :-1].toarray())
         scale = eigs.max()
         assert eigs.min() > -1e-12 * scale
         assert (np.abs(eigs) < 1e-10 * scale).sum() == 1
@@ -155,7 +164,7 @@ class TestTetBoundarySystem:
     def test_effective_condition_number_reported(self):
         mesh = tet_boundary_mesh()
         system = condense_and_assemble(mesh, mixed_space("rt0"))
-        cond = effective_condition_number(system.unbordered)
+        cond = effective_condition_number(system.matrix[:-1, :-1])
         assert np.isfinite(cond) and cond >= 1.0
 
 
@@ -218,15 +227,15 @@ class TestSolvers:
         mesh, out = sphere_solves
         space, hybrid, _, _ = out[kind]
         scale = np.abs(hybrid.p_local).max()
-        assert conformity_defect(mesh, space, hybrid.p_local) < 1e-9 * scale
+        assert conformity_defect(edge_dofs(mesh, space), hybrid.p_local) < 1e-9 * scale
 
     def test_linearity_in_the_source(self, sphere, problem, sphere_meshes):
         mesh = sphere_meshes[8]
         space = mixed_space("rt0")
         rhs = build_rhs(problem.f, mesh, sphere)
         doubled = build_rhs(lambda x: 2.0 * problem.f(x), mesh, sphere)
-        base = solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs), check_residuals=False)
-        twice = solve_hybrid(condense_and_assemble(mesh, space, rhs=doubled), check_residuals=False)
+        base = solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs))
+        twice = solve_hybrid(condense_and_assemble(mesh, space, rhs=doubled))
         assert np.allclose(twice.u, 2.0 * base.u, rtol=1e-12, atol=1e-14)
         assert np.allclose(twice.p_local, 2.0 * base.p_local, rtol=1e-12, atol=1e-14)
 
@@ -237,6 +246,72 @@ class TestSolvers:
         fields = solve_hybrid(condense_and_assemble(mesh, mixed_space("rt0"), rhs=rhs))
         assert fields.residual_flux < 1e-12
         assert fields.residual_balance < 1e-12
+
+
+class TestConformingMatrices:
+    @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+    def test_mass_matrix_is_symmetric(self, kind, sphere_meshes):
+        mesh = sphere_meshes[8]
+        space = mixed_space(kind)
+        dofs = edge_dofs(mesh, space)
+        a_mat, _ = conforming_matrices(dofs, assemble_local_blocks(mesh, space))
+        assert a_mat.shape == (dofs.size, dofs.size)
+        assert abs(a_mat - a_mat.T).max() <= 1e-14 * abs(a_mat).max()
+
+    @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+    def test_divergence_matrix_matches_facet_divergence(self, kind, sphere_meshes):
+        """For a conforming field, the global divergence rows equal the
+        facet-local divergence blocks applied to its local coefficients."""
+        mesh = sphere_meshes[8]
+        space = mixed_space(kind)
+        blocks = assemble_local_blocks(mesh, space)
+        dofs = edge_dofs(mesh, space)
+        _, b_mat = conforming_matrices(dofs, blocks)
+        p_local = local_vector_coefficients(dofs, np.random.default_rng(42).normal(size=dofs.size))
+        local_div = np.einsum("fk,fk->f", blocks.div, p_local)
+        got = b_mat @ global_vector_coefficients(dofs, p_local)
+        assert np.abs(got - local_div).max() <= 1e-14 * np.abs(local_div).max()
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the hybrid system and its solution on the n = 8 sphere mesh.
+# Renumbering or re-signing the edge moments changes these bytes.
+PINNED = {
+    "rt0": {
+        "matrix": "c98d1486f61b615ac3c19f199f8fad292783ef3aa59910abd4452ec2b9f90cdf",
+        "rhs": "a5b8e6fb00439e889d97ec85cc30c42097d08f4dc30a43bbe05f7f8d646aea74",
+        "p_local": "8b28be20ad732be4bfbece4c1ade600feeb44a7f667e444b96d54387155467f3",
+        "u": "6cdfbf55862b7684893be4a5ddc8047a03901c3c49846ffdbd1d8a872e296400",
+    },
+    "bdm1": {
+        "matrix": "cba65076d0e3ff5e2009d22afeac0f34d7342d2a158427f246277632541b1d7c",
+        "rhs": "e498bdaa10bfd5b21d1f0d1983aaf64da146a7537d34c6a5ba54d88de1dfa8d0",
+        "p_local": "65ff4cb7f8f75d9effeffa4c0c8c45dd01fafcc9b67bce8a6ea4a384d4a12569",
+        "u": "b5612098b45062f089e58599ac3d3e6ce857ff96c00ea96a746dfda378822d9b",
+    },
+}
+
+
+class TestSystemBytes:
+    @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+    def test_system_and_solution_bytes_pinned(self, kind, sphere, problem, sphere_meshes):
+        mesh = sphere_meshes[8]
+        system = condense_and_assemble(mesh, mixed_space(kind), rhs=build_rhs(problem.f, mesh, sphere))
+        fields = solve_hybrid(system)
+        m = system.matrix
+        got = {
+            "matrix": digest(m.data, m.indices, m.indptr),
+            "rhs": digest(system.rhs),
+            "p_local": digest(fields.p_local),
+            "u": digest(fields.u),
+        }
+        assert got == PINNED[kind]
 
 
 class TestNodePlacementStability:

@@ -12,17 +12,19 @@ import pytest
 
 from quasitrace.elements import (
     AffineMap,
+    EDGE_GAUSS_POINTS,
     ERROR_DEGREE,
     REF_EDGE_LENGTHS,
     REF_EDGE_NORMALS,
     REF_EDGES,
     REF_VERTICES,
     ScalarElement,
-    element_interpolate_hdiv,
+    edge_dofs,
     eval_p1,
     eval_vector,
     facet_quadrature,
     gauss_01,
+    global_vector_coefficients,
     interpolate_hdiv,
     local_vector_coefficients,
     mixed_space,
@@ -30,7 +32,7 @@ from quasitrace.elements import (
     triangle_rule,
 )
 
-from conftest import random_needle, tet_boundary_mesh
+from conftest import interpolate_facet, random_needle, tet_boundary_mesh
 
 
 def boundary_flux(verts, field, weight=None, n_gauss=8):
@@ -131,15 +133,6 @@ class TestPushForward:
                 phys_flux = length * float(w @ (vals @ conormal))
                 assert phys_flux == pytest.approx(ref_flux, abs=1e-12 * max(1.0, abs(ref_flux)))
 
-    def test_divergence_scaling(self):
-        rng = np.random.default_rng(31)
-        space = mixed_space("rt0")
-        verts = random_needle(rng, max_aspect=50.0)
-        amap = AffineMap.from_triangles(verts)
-        ref_div = space.vector.divergence()
-        pushed = amap.push_divergence(np.broadcast_to(ref_div, (1, 3)))
-        assert np.allclose(pushed[0], ref_div / amap.jac[0], atol=1e-12)
-
 
 class TestInterpolation:
     def test_rt0_reproduces_constant_tangent_fields(self):
@@ -151,7 +144,7 @@ class TestInterpolation:
             c = rng.normal(size=2)
             const = amap.A[0] @ c
 
-            coeffs = element_interpolate_hdiv(space, verts, lambda pts: np.broadcast_to(const, pts.shape))
+            coeffs = interpolate_facet(space, verts, lambda pts: np.broadcast_to(const, pts.shape))
             pts, _ = triangle_rule(4)
             vals = eval_vector(amap, space, coeffs[None], pts)[0]
             assert np.abs(vals - const).max() < 1e-12 * max(1.0, np.abs(const).max())
@@ -170,7 +163,7 @@ class TestInterpolation:
                 ref_vals = ref @ coeff.T[:2] + shift  # affine in reference coords
                 return np.einsum("id,qd->qi", amap.A[0], ref_vals)
 
-            coeffs = element_interpolate_hdiv(space, verts, field)
+            coeffs = interpolate_facet(space, verts, field)
             pts, _ = triangle_rule(4)
             got = eval_vector(amap, space, coeffs[None], pts)[0]
             want = field(amap.to_physical(pts)[0])
@@ -194,7 +187,7 @@ class TestInterpolation:
                 )
                 return np.einsum("id,dm,mq->qi", amap.A[0], quad_coeff, monomials)
 
-            coeffs = element_interpolate_hdiv(space, verts, field)
+            coeffs = interpolate_facet(space, verts, field)
             lhs = float(coeffs @ (0.5 * space.vector.divergence()))
             rhs = boundary_flux(verts, field)
             assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -209,7 +202,7 @@ class TestInterpolation:
             for gdof in range(nd * mesh.n_edges):
                 coeffs = np.zeros(nd * mesh.n_edges)
                 coeffs[gdof] = 1.0
-                local = local_vector_coefficients(mesh, space, coeffs)
+                local = local_vector_coefficients(edge_dofs(mesh, space), coeffs)
                 for e in range(mesh.n_edges):
                     i, j = mesh.edges[e]
                     xi, xj = mesh.vertices[i], mesh.vertices[j]
@@ -239,27 +232,46 @@ class TestInterpolation:
                     if nd == 2:
                         assert moments[0][1] == pytest.approx(-moments[1][1], abs=1e-12)
 
-    def test_mesh_level_interpolation_matches_element_level(self, sphere_meshes):
+    def test_batched_moments_match_edge_loop(self, sphere_meshes):
+        """The batched interpolant against a facet-by-facet, edge-by-edge loop,
+        with a field that also depends on the facet it is evaluated from."""
         mesh = sphere_meshes[8]
-        space = mixed_space("bdm1")
 
-        def smooth(pts, faces):
-            return np.stack([pts[..., 1], pts[..., 2], pts[..., 0] * pts[..., 1]], axis=-1)
+        def field(pts, faces):
+            smooth = np.stack([pts[..., 1], pts[..., 2], pts[..., 0] * pts[..., 1]], axis=-1)
+            return smooth + 1e-3 * mesh.face_normals[faces]
 
-        glob = interpolate_hdiv(mesh, space, smooth)
-        local = local_vector_coefficients(mesh, space, glob)
-        # recompute one facet's coefficients directly; the plus-facet of each
-        # of its edges defines the global orientation, so signs must map back
-        plus_faces = set(mesh.edge_faces[:, 0])
-        face = next(f for f in range(mesh.n_triangles) if all(mesh.face_edges[f, k] in range(mesh.n_edges) for k in range(3)) and f in plus_faces)
-        verts = mesh.corner_points()[face]
-        direct = element_interpolate_hdiv(space, verts, lambda p: smooth(p, None))
-        # agreement up to the sign conventions encoded in local_vector_coefficients
-        sg = mesh.face_edge_signs[face]
-        for k in range(3):
-            if sg[k] > 0:
-                assert direct[2 * k] == pytest.approx(local[face, 2 * k], abs=1e-12)
-                assert direct[2 * k + 1] == pytest.approx(local[face, 2 * k + 1], abs=1e-12)
+        t, w = gauss_01(EDGE_GAUSS_POINTS)
+        weights = np.stack([w, w * (2.0 * t - 1.0)])
+        for kind in ("rt0", "bdm1"):
+            space = mixed_space(kind)
+            nd = space.vector.edge_dofs
+            got = interpolate_hdiv(mesh.corner_points(), space, field)
+            want = np.empty_like(got)
+            for f, verts in enumerate(mesh.corner_points()):
+                n_face = np.cross(verts[1] - verts[0], verts[2] - verts[0])
+                n_face /= np.linalg.norm(n_face)
+                for e, (a, b) in enumerate(REF_EDGES):
+                    length = np.linalg.norm(verts[b] - verts[a])
+                    conormal = np.cross((verts[b] - verts[a]) / length, n_face)
+                    pts = verts[a] + t[:, None] * (verts[b] - verts[a])
+                    flux = field(pts, np.full(len(t), f)) @ conormal
+                    want[f, nd * e : nd * (e + 1)] = length * (weights[:nd] @ flux)
+            assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+
+    def test_global_and_local_coefficients_round_trip(self, sphere_meshes):
+        """Local and global coefficients map back and forth bit for bit: a
+        global vector survives the round trip, and a broken local field keeps
+        its moments on the facets running along each edge."""
+        mesh = sphere_meshes[8]
+        rng = np.random.default_rng(37)
+        for kind in ("rt0", "bdm1"):
+            dofs = edge_dofs(mesh, mixed_space(kind))
+            g = rng.normal(size=dofs.size)
+            assert np.array_equal(global_vector_coefficients(dofs, local_vector_coefficients(dofs, g)), g)
+            p = rng.normal(size=dofs.ids.shape)
+            back = local_vector_coefficients(dofs, global_vector_coefficients(dofs, p))
+            assert np.array_equal(back[dofs.plus], p[dofs.plus])
 
 
 class TestProjection:

@@ -1,4 +1,5 @@
-"""Package structure: modules share only public names."""
+"""Package structure: modules share only public names, and one module
+numbers and signs the vector edge moments."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,26 @@ def test_check_sees_a_private_import(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text("from .elements import _hidden, visible\nfrom numpy import _private\n")
     assert private_imports(source) == ["mod.py: _hidden"]
+
+
+def edge_dof_reads(path: Path) -> list[str]:
+    """Reads of an ``edge_dofs`` attribute in one source file."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "edge_dofs"
+    ]
+
+
+def test_edge_moments_numbered_only_in_elements():
+    """Every other module indexes the moments through ``elements.edge_dofs``."""
+    offenders = [
+        hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "elements.py" for hit in edge_dof_reads(path)
+    ]
+    assert offenders == []
+
+
+def test_check_sees_an_edge_dof_read(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("from .elements import edge_dofs\n\nm = space.vector.edge_dofs\nd = edge_dofs(mesh, space)\n")
+    assert edge_dof_reads(source) == ["mod.py:3"]

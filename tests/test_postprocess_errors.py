@@ -7,7 +7,7 @@ from quasitrace.assembly import RhsField, SolutionFields, build_rhs, condense_an
 from quasitrace.elements import (
     ASSEMBLY_DEGREE,
     AffineMap,
-    element_interpolate_hdiv,
+    interpolate_hdiv,
     mixed_space,
     project_l2,
     triangle_rule,
@@ -64,17 +64,10 @@ class TestManufacturedProblem:
 
 def affine_consistency_fields(mesh, space, direction, offset):
     """Exact data for an ambient affine scalar: facet gradients and means."""
-    maps = AffineMap.from_triangles(mesh.corner_points())
     u_mean = project_l2(mesh, "p0", lambda x, f: x @ direction + offset)
-    p_local = np.empty((mesh.n_triangles, space.vector.n_dofs))
-    for f in range(mesh.n_triangles):
-        nu_h = mesh.face_normals[f]
-        grad = direction - np.dot(direction, nu_h) * nu_h
-
-        def field(pts, g=grad):
-            return np.broadcast_to(-g, pts.shape)
-
-        p_local[f] = element_interpolate_hdiv(space, mesh.corner_points()[f], field)
+    nu_h = mesh.face_normals
+    grad = direction - (nu_h @ direction)[:, None] * nu_h
+    p_local = interpolate_hdiv(mesh.corner_points(), space, lambda pts, faces: -grad[faces])
     return SolutionFields(
         p_local=p_local, u=u_mean, multipliers=None, space=space.name,
         mean_u=float((mesh.areas() * u_mean).sum()),
