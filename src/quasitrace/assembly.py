@@ -41,7 +41,7 @@ from .elements import (
     global_vector_coefficients,
     local_vector_coefficients,
 )
-from .geometry import SurfaceField, area_ratio, frame_at
+from .geometry import SurfaceField, area_ratio, frame_blocks
 from .trace_mesh import TraceMesh
 
 __all__ = [
@@ -92,9 +92,10 @@ class RhsField:
 def build_rhs(f, mesh: TraceMesh, surface: SurfaceField) -> RhsField:
     """Sample the mean-free discrete load of a compatible surface source."""
     quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
-    frames = frame_at(surface, quad.points, quad.normals)
-    weighted = area_ratio(frames) * f(frames.closest)
     cell = quad.cell
+    weighted = np.empty(cell.shape)
+    for facets, frames in frame_blocks(surface, quad):
+        weighted[facets] = area_ratio(frames) * f(frames.closest)
     total_area = float(cell.sum())
     mean_correction = float((cell * weighted).sum() / total_area)
     norm_f = float(np.sqrt((cell * weighted**2).sum()))

@@ -38,7 +38,7 @@ from .elements import (
     local_vector_coefficients,
     project_l2,
 )
-from .geometry import SurfaceField, frame_at, piola_from_surface
+from .geometry import SurfaceField, frame_at, frame_blocks, piola_from_surface
 from .trace_mesh import TraceMesh, MeshStats
 from .assembly import RhsField, SolutionFields
 
@@ -217,14 +217,16 @@ def compute_errors(
     """L2 error norms over the facet mesh at the given quadrature degree."""
     quad = facet_quadrature(mesh, degree)
     maps, pts, wts, cell = quad.maps, quad.ref_points, quad.weights, quad.cell
-    frames = frame_at(surface, quad.points, quad.normals)
-    closest = frames.closest
+    p_exact = np.empty(quad.points.shape)
+    u_lift = np.empty(cell.shape)
+    for facets, frames in frame_blocks(surface, quad):
+        closest = frames.closest
+        p_exact[facets] = piola_from_surface(frames, problem.p(closest))
+        u_lift[facets] = problem.u(closest)
 
-    p_exact = piola_from_surface(frames, problem.p(closest))
     p_h = eval_vector(maps, space, fields.p_local, pts)
     err_p = math.sqrt(float((cell * ((p_exact - p_h) ** 2).sum(axis=-1)).sum()))
 
-    u_lift = problem.u(closest)
     err_u = math.sqrt(float((cell * (u_lift - fields.u[:, None]) ** 2).sum()))
 
     u_proj = 2.0 * np.einsum("q,fq->f", wts, u_lift)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import ASSEMBLY_DEGREE, facet_quadrature
-from .geometry import SurfaceField, area_ratio, consistency_matrix, frame_at
+from .geometry import SurfaceField, area_ratio, consistency_matrix, frame_blocks
 
 __all__ = [
     "BulkMesh",
@@ -416,16 +416,17 @@ class MeshStats:
 def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
     """Measure the mesh against the continuous surface at the assembly-rule points."""
     quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
-    frames = frame_at(surface, quad.points, quad.normals)
-
-    mu = area_ratio(frames)
-    bgap = frames.tangent_projector - consistency_matrix(frames)
-    gap_norm = np.sqrt(np.einsum("...ij,...ij->...", bgap, bgap))
+    mu, gap_norm, dist, cos_q = (np.empty(quad.cell.shape) for _ in range(4))
+    for facets, frames in frame_blocks(surface, quad):
+        mu[facets] = area_ratio(frames)
+        bgap = frames.tangent_projector - consistency_matrix(frames)
+        gap_norm[facets] = np.sqrt(np.einsum("...ij,...ij->...", bgap, bgap))
+        dist[facets] = frames.dist
+        cos_q[facets] = frames.transversality
 
     nu_c = surface.gradient(mesh.centroids())
     normal_gap = np.linalg.norm(nu_c - mesh.face_normals, axis=-1)
-    cos_all = min(float(frames.transversality.min()),
-                  float(np.einsum("fi,fi->f", nu_c, mesh.face_normals).min()))
+    cos_all = min(float(cos_q.min()), float(np.einsum("fi,fi->f", nu_c, mesh.face_normals).min()))
 
     areas = mesh.areas()
     return MeshStats(
@@ -435,7 +436,7 @@ def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
         n_triangles=mesh.n_triangles,
         euler_characteristic=mesh.euler_characteristic,
         max_interior_angle=float(mesh.max_interior_angles().max()),
-        max_abs_dist=float(np.abs(frames.dist).max()),
+        max_abs_dist=float(np.abs(dist).max()),
         max_normal_gap=float(normal_gap.max()),
         min_transversality=cos_all,
         min_area=float(areas.min()),

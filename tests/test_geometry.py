@@ -7,15 +7,23 @@ and symbolic evaluation for the transfer formulas.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quasitrace.geometry as geometry
+from quasitrace.assembly import build_rhs
+from quasitrace.elements import ASSEMBLY_DEGREE, facet_quadrature, mixed_space
 from quasitrace.geometry import (
     Sphere,
+    _resolvent_weights,
     area_ratio,
     consistency_matrix,
     frame_at,
     piola_from_surface,
     piola_to_surface,
 )
+from quasitrace.postprocess_errors import compute_errors, injected_exact_fields, postprocess_gradient
+from quasitrace.trace_mesh import mesh_stats
 
 from conftest import random_rotation
 
@@ -62,6 +70,13 @@ class TestSphereClosedForms:
         x = random_tube_points(rng, 200)
         hn = np.einsum("nij,nj->ni", surface.hessian(x), surface.gradient(x))
         assert np.abs(hn).max() < 1e-13
+
+    def test_hessian_annihilates_normal_on_a_trace_mesh(self, sphere, sphere_meshes):
+        """The H nu = 0 contract at the assembly-rule points of an extracted mesh."""
+        quad = facet_quadrature(sphere_meshes[16], ASSEMBLY_DEGREE)
+        fr = frame_at(sphere, quad.points, quad.normals)
+        hn = np.linalg.norm(np.einsum("...ij,...j->...i", fr.hessian, fr.normal), axis=-1)
+        assert np.all(hn <= 1e-15 * np.linalg.norm(fr.hessian, axis=(-2, -1)))
 
     def test_hessian_matches_finite_differences(self):
         # central differences of the normal field, step 1e-5
@@ -288,6 +303,102 @@ class TestConsistencyMatrix:
         gaps = [mesh_stats(sphere_meshes[n], sphere).max_consistency_gap for n in (8, 16, 32)]
         assert gaps[0] / gaps[1] >= 3.5
         assert gaps[1] / gaps[2] >= 3.5
+
+
+def unit(v):
+    return np.asarray(v) / np.linalg.norm(v)
+
+
+nonzero_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+class TestClosedFormOracles:
+    """Closed-form kernels against dense linear algebra written out here.
+
+    The tube check admits sphere points with |x| / radius in (2/3, 2); the
+    samples reach both ends of that interval, inside and outside, up to a
+    1e-6 margin for the round-off of the curvature estimate in the check.
+    """
+
+    @staticmethod
+    def frame(radius, direction, scale, tilt, angle):
+        surface = Sphere(radius)
+        point = unit(direction) * scale * radius
+        nu = unit(direction)
+        side = np.asarray(tilt) - np.dot(tilt, nu) * nu
+        if np.linalg.norm(side) < 1e-6:  # tilt along the normal: use the axis least aligned with it
+            side = np.eye(3)[np.argmin(np.abs(nu))]
+            side = side - np.dot(side, nu) * nu
+        side = unit(side)
+        return frame_at(surface, point, np.cos(angle) * nu + np.sin(angle) * side)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        radius=st.floats(0.05, 20.0),
+        direction=nonzero_vectors,
+        scale=st.floats(2.0 / 3.0 + 1e-6, 2.0 - 1e-6),
+        tilt=nonzero_vectors,
+        angle=st.floats(0.0, 1.4),
+        vector=nonzero_vectors,
+    )
+    def test_against_dense_algebra(self, radius, direction, scale, tilt, angle, vector):
+        fr = self.frame(radius, direction, scale, tilt, angle)
+        eye = np.eye(3)
+        a_mat = eye - fr.dist * fr.hessian
+        cosang = float(fr.transversality)
+        mu = float(area_ratio(fr))
+
+        # the resolvent is exact on every vector, tangent or not; the floor
+        # covers inputs whose pull-back cancels to nearly zero
+        for p in (np.asarray(vector), fr.tangent_projector @ vector):
+            y = np.linalg.solve(a_mat, p)
+            want = mu * (y - fr.normal * np.dot(fr.face_normal, y) / cosang)
+            got = piola_from_surface(fr, p)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want) + 1e-14 * np.linalg.norm(p)
+
+        skew = eye - np.outer(fr.normal, fr.face_normal) / cosang
+        half = skew @ np.linalg.inv(a_mat) @ fr.tangent_projector
+        want_b = mu * half.T @ half
+        got_b = consistency_matrix(fr)
+        assert np.linalg.norm(got_b - want_b) <= 1e-13 * np.linalg.norm(want_b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        radius=st.floats(0.05, 20.0),
+        direction=nonzero_vectors,
+        scale=st.floats(2.0 / 3.0 + 1e-6, 2.0 - 1e-6),
+    )
+    def test_resolvent_exact_on_the_normal(self, radius, direction, scale):
+        fr = self.frame(radius, direction, scale, (0.0, 0.0, 1.0), 0.0)
+        a, b = _resolvent_weights(fr)
+        resolvent = np.eye(3) + a * fr.hessian + b * fr.hessian @ fr.hessian
+        assert np.abs(resolvent @ fr.normal - fr.normal).max() <= 1e-15
+        assert np.abs(resolvent @ (np.eye(3) - fr.dist * fr.hessian) - np.eye(3)).max() <= 1e-13
+        # the normal pulls back to zero: the facet carries no normal flux
+        assert np.linalg.norm(piola_from_surface(fr, fr.normal)) <= 1e-14
+
+
+class TestFacetBlocks:
+    """Frame consumers fill per-point arrays block by block and reduce them whole."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, sphere, problem, sphere_meshes, n):
+        mesh = sphere_meshes[n]
+        space = mixed_space("rt0")
+        fields = injected_exact_fields(mesh, sphere, space, problem)
+        u_star = postprocess_gradient(mesh, space, fields)
+
+        def consumers():
+            return (
+                mesh_stats(mesh, sphere),
+                build_rhs(problem.f, mesh, sphere).values.tobytes(),
+                compute_errors(mesh, sphere, space, problem, fields, u_star=u_star),
+            )
+
+        default = consumers()
+        for block in (1, 7, mesh.n_triangles + 1):
+            monkeypatch.setattr(geometry, "FACET_BLOCK", block)
+            assert consumers() == default, block
 
 
 class TestLiftScalar:

@@ -1,5 +1,6 @@
-"""Package structure: modules share only public names, and one module
-numbers and signs the vector edge moments."""
+"""Package structure: modules share only public names, one module numbers
+and signs the vector edge moments, and the geometry kernels stay in closed
+form."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,30 @@ def test_check_sees_an_edge_dof_read(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text("from .elements import edge_dofs\n\nm = space.vector.edge_dofs\nd = edge_dofs(mesh, space)\n")
     assert edge_dof_reads(source) == ["mod.py:3"]
+
+
+def dense_solver_calls(path: Path) -> list[str]:
+    """Calls of an ``inv``, ``solve`` or ``eig*`` function in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in ("inv", "solve") or name.startswith("eig"):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_geometry_has_no_dense_solver():
+    """The 3x3 resolvent, curvatures and consistency matrix are closed forms."""
+    assert dense_solver_calls(PACKAGE / "geometry.py") == []
+
+
+def test_check_sees_a_dense_solver_call(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import numpy as np\nfrom numpy.linalg import inv\n\n"
+        "a = np.linalg.inv(m)\nb = np.linalg.solve(m, v)\nc = np.linalg.eigh(m)\nd = inv(m)\ne = np.linalg.norm(v)\n"
+    )
+    assert dense_solver_calls(source) == ["mod.py:4", "mod.py:5", "mod.py:6", "mod.py:7"]
