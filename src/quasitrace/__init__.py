@@ -23,7 +23,6 @@ from .trace_mesh import (
     build_bulk_mesh,
     extract_trace_surface,
     mesh_stats,
-    read_vertex_values,
     write_off,
 )
 from .elements import (

@@ -79,7 +79,7 @@ class StudyResult:
 
 
 def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int):
-    # Nested calls: the 6 n^3 bulk tetrahedra and the raw cut are freed once the mesh exists.
+    # Nested calls: the bulk lattice and the raw cut are freed once the mesh exists.
     mesh = bisect_quads(
         extract_trace_surface(build_bulk_mesh(config.shifted_box(), n), surface.signed_distance), surface=surface
     )

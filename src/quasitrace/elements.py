@@ -12,17 +12,21 @@ facet-local and global coefficients goes through it.
 
 Physical facets are images of the reference triangle under affine maps with
 a 3x2 derivative; vector fields are pushed with the flux-preserving scaling
-A / jac, scalars by plain composition.  ``facet_quadrature`` is the one place
-that maps a triangle rule onto every facet of a mesh.
+A / jac, scalars by plain composition.  A mesh builds its affine maps once
+(``TraceMesh.maps``); ``facet_quadrature`` pairs them with a triangle rule,
+and the physical points of that rule are formed one facet block at a time
+(``geometry.frame_blocks``), never for a whole mesh outside ``project_l2``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from .geometry import facet_slices
 
 __all__ = [
     "REF_VERTICES",
@@ -234,9 +238,15 @@ class AffineMap:
     def __len__(self) -> int:
         return self.origin.shape[0]
 
+    def __getitem__(self, facets) -> "AffineMap":
+        """The maps of the facets selected by ``facets`` (a slice gives views)."""
+        return AffineMap(*(getattr(self, f.name)[facets] for f in fields(self)))
+
     def to_physical(self, ref_pts: np.ndarray) -> np.ndarray:
         """Map reference points (Q, 2) to physical points (F, Q, 3)."""
-        return self.origin[:, None, :] + np.einsum("fid,qd->fqi", self.A, np.asarray(ref_pts, dtype=float))
+        x, y = np.asarray(ref_pts, dtype=float).T
+        a = self.A[:, None]
+        return self.origin[:, None, :] + (a[..., 0] * x[:, None] + a[..., 1] * y[:, None])
 
     def to_reference(self, x: np.ndarray) -> np.ndarray:
         """Pull physical points (F, Q, 3) on the facet planes back to (F, Q, 2)."""
@@ -250,28 +260,28 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class FacetQuadrature:
-    """A reference triangle rule mapped onto every facet of a mesh."""
+    """A reference triangle rule paired with the affine maps of every facet.
+
+    Stores no physical points; ``geometry.frame_blocks`` forms them per block.
+    """
 
     maps: AffineMap
-    ref_points: np.ndarray  # (Q, 2)
-    weights: np.ndarray     # (Q,)
-    points: np.ndarray      # (F, Q, 3) physical quadrature points
-    cell: np.ndarray        # (F, Q) weights times the area Jacobian
-    normals: np.ndarray     # (F, Q, 3) facet normal at every point
+    ref_points: np.ndarray    # (Q, 2)
+    weights: np.ndarray       # (Q,)
+    cell: np.ndarray          # (F, Q) weights times the area Jacobian
+    face_normals: np.ndarray  # (F, 3) unit facet normals
 
 
 def facet_quadrature(mesh, degree: int) -> FacetQuadrature:
-    """Map the degree-exact triangle rule onto every facet of ``mesh``."""
-    maps = AffineMap.from_triangles(mesh.corner_points())
+    """Pair the degree-exact triangle rule with the facet maps of ``mesh``."""
+    maps = mesh.maps
     pts, wts = triangle_rule(degree)
-    x = maps.to_physical(pts)
     return FacetQuadrature(
         maps=maps,
         ref_points=pts,
         weights=wts,
-        points=x,
         cell=wts[None, :] * maps.jac[:, None],
-        normals=np.broadcast_to(mesh.face_normals[:, None, :], x.shape),
+        face_normals=mesh.face_normals,
     )
 
 
@@ -314,23 +324,28 @@ def interpolate_hdiv(corners: np.ndarray, space: MixedSpace, field) -> np.ndarra
     """Edge-moment interpolation of a tangential field, facet by facet.
 
     ``corners`` holds the facet vertices (F, 3, 3).  ``field(points,
-    faces)`` evaluates the field at edge points (F, 3, q, 3) of the facets
-    (F, 3, q).  Returns the local coefficients (F, nq) in each facet's own
-    edge orientation; conormal-continuous fields give conforming ones.
+    faces)`` evaluates the field at edge points (f, 3, q, 3) of the facets
+    (f, 3, q), called once per block of facets (``geometry.facet_slices``)
+    with global facet ids.  Returns the local coefficients (F, nq) in each
+    facet's own edge orientation; conormal-continuous fields give
+    conforming ones.
     """
     corners = np.asarray(corners, dtype=float)
-    start = corners[:, _EDGE_START]
-    vec = corners[:, _EDGE_END] - start                          # (F, 3, 3)
-    length = np.linalg.norm(vec, axis=-1)
-    normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-    conormal = np.cross(vec / length[..., None], normal[:, None, :])
     t, w = gauss_01(EDGE_GAUSS_POINTS)
-    pts = start[:, :, None, :] + t[:, None] * vec[:, :, None, :]
-    faces = np.broadcast_to(np.arange(len(corners))[:, None, None], pts.shape[:3])
-    flux = np.einsum("fkqi,fki->fkq", field(pts, faces), conormal)
     weights = np.stack([w, w * (2.0 * t - 1.0)])[: space.vector.edge_dofs]
-    moments = length[..., None] * np.einsum("fkq,mq->fkm", flux, weights)
+    moments = np.empty((len(corners), 3, len(weights)))
+    for facets in facet_slices(len(corners)):
+        block = corners[facets]
+        start = block[:, _EDGE_START]
+        vec = block[:, _EDGE_END] - start                        # (f, 3, 3)
+        length = np.linalg.norm(vec, axis=-1)
+        normal = np.cross(block[:, 1] - block[:, 0], block[:, 2] - block[:, 0])
+        normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+        conormal = np.cross(vec / length[..., None], normal[:, None, :])
+        pts = start[:, :, None, :] + t[:, None] * vec[:, :, None, :]
+        faces = np.broadcast_to(np.arange(facets.start, facets.stop)[:, None, None], pts.shape[:3])
+        flux = np.einsum("fkqi,fki->fkq", field(pts, faces), conormal)
+        moments[facets] = length[..., None] * np.einsum("fkq,mq->fkm", flux, weights)
     return moments.reshape(len(corners), -1)
 
 
@@ -355,8 +370,8 @@ def project_l2(mesh, kind: str, fn) -> np.ndarray:
     """
     quad = facet_quadrature(mesh, ERROR_DEGREE)
     pts, wts = quad.ref_points, quad.weights
-    faces = np.broadcast_to(np.arange(len(mesh.triangles))[:, None], quad.points.shape[:2])
-    vals = fn(quad.points, faces)
+    x = quad.maps.to_physical(pts)
+    vals = fn(x, np.broadcast_to(np.arange(len(x))[:, None], x.shape[:2]))
     if kind == "p0":
         return 2.0 * (vals @ wts)
     if kind != "p1":

@@ -37,6 +37,7 @@ __all__ = [
     "Sphere",
     "TangentFrame",
     "FACET_BLOCK",
+    "facet_slices",
     "frame_at",
     "frame_blocks",
     "area_ratio",
@@ -179,17 +180,24 @@ def frame_at(surface: SurfaceField, points: np.ndarray, face_normal: np.ndarray)
 FACET_BLOCK = 2048
 
 
+def facet_slices(count: int):
+    """Consecutive slices of at most ``FACET_BLOCK`` facets covering ``range(count)``."""
+    for start in range(0, count, FACET_BLOCK):
+        yield slice(start, min(start + FACET_BLOCK, count))
+
+
 def frame_blocks(surface: SurfaceField, quad):
     """Frames at the points of a facet quadrature, one block of facets at a time.
 
     Yields ``(facets, frame)`` with ``facets`` a slice of the facet axis of
-    ``quad`` and ``frame`` built at ``quad.points[facets]``.  Consumers fill
-    preallocated per-point arrays block by block and reduce them whole, so
-    their results do not depend on the block size.
+    ``quad`` and ``frame`` built where the rule maps onto those facets; the
+    points of one block are the only physical points formed.  Consumers
+    fill preallocated per-point arrays block by block and reduce them whole,
+    so their results do not depend on the block size.
     """
-    for start in range(0, len(quad.points), FACET_BLOCK):
-        facets = slice(start, start + FACET_BLOCK)
-        yield facets, frame_at(surface, quad.points[facets], quad.normals[facets])
+    for facets in facet_slices(len(quad.cell)):
+        points = quad.maps[facets].to_physical(quad.ref_points)
+        yield facets, frame_at(surface, points, quad.face_normals[facets, None, :])
 
 
 def area_ratio(frame: TangentFrame) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 The background box is split into cubes and every cube into the six path
 tetrahedra along its main diagonal; all cubes use the same diagonal, so the
-decomposition is conforming.  The zero set of the piecewise linear
-interpolant of a level function cuts each tetrahedron in a triangle or a
-planar quadrilateral, read off a marching-tetrahedra case table indexed by
-the number of negative corners.  Quadrilaterals are bisected along the
-diagonal that minimizes the larger maximum interior angle, and full edge
-connectivity is wired up.  Every step is a pass over whole arrays.
+decomposition is conforming.  Only the lattice is stored: tetrahedron
+``k * n^3 + cube`` is path ``k`` through its cube and is formed on demand,
+and extraction subdivides only the cubes whose corners do not all share a
+sign.  The zero set of the piecewise linear interpolant of a level function
+cuts each tetrahedron in a triangle or a planar quadrilateral, read off a
+marching-tetrahedra case table indexed by the number of negative corners.
+Quadrilaterals are bisected along the diagonal that minimizes the larger
+maximum interior angle, and full edge connectivity is wired up.  Every step
+is a pass over whole arrays.
 
 Facets are oriented by construction: each normal points to the psi > 0 side
 of its parent tetrahedron, so a level function that is positive outside (a
@@ -24,10 +27,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .elements import ASSEMBLY_DEGREE, facet_quadrature
+from .elements import ASSEMBLY_DEGREE, AffineMap, facet_quadrature
 from .geometry import SurfaceField, area_ratio, consistency_matrix, frame_blocks
 
 __all__ = [
@@ -41,7 +45,6 @@ __all__ = [
     "MeshStats",
     "mesh_stats",
     "write_off",
-    "read_vertex_values",
 ]
 
 # Vertex values closer to zero than this (relative to the bulk mesh size)
@@ -75,18 +78,46 @@ _CUT_PAIRS = np.array(
 _QUAD_SPLITS = np.array([[[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]])
 
 
+def _kuhn_corners() -> np.ndarray:
+    """Corner offsets (6, 4, 3) of the path tetrahedra of the unit cube.
+
+    Path ``k`` steps along the axes in the order of the k-th permutation;
+    odd ones swap their last two corners to stay positively oriented.
+    """
+    out = np.zeros((6, 4, 3), dtype=int)
+    for k, perm in enumerate(itertools.permutations(range(3))):
+        for m, axis in enumerate(perm):
+            out[k, m + 1 :, axis] = 1
+        inversions = sum(perm[a] > perm[b] for a in range(3) for b in range(a + 1, 3))
+        if inversions % 2:
+            out[k, [2, 3]] = out[k, [3, 2]]
+    return out
+
+
+_KUHN_CORNERS = _kuhn_corners()
+
+
 @dataclass(frozen=True)
 class BulkMesh:
-    """Tetrahedral decomposition of an axis-aligned box."""
+    """Lattice of an axis-aligned box, cut into n^3 cubes of 6 tetrahedra each.
 
-    vertices: np.ndarray  # (V, 3)
-    tets: np.ndarray      # (M, 4) vertex indices, positively oriented
+    Vertex ``(ix * (n + 1) + iy) * (n + 1) + iz`` sits at lattice position
+    (ix, iy, iz); cube ``(ix * n + iy) * n + iz`` has it as its lowest
+    corner; tetrahedron ``k * n^3 + cube`` is path ``k`` through that cube.
+    """
+
+    vertices: np.ndarray  # ((n + 1)^3, 3)
+    n: int                # cubes per axis
     h_bulk: float         # maximum tetrahedron diameter
 
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    inv = sum(1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b])
-    return -1 if inv % 2 else 1
+    def tet_corners(self, tets: np.ndarray) -> np.ndarray:
+        """Vertex ids (..., 4) of tetrahedra, positively oriented."""
+        n = self.n
+        path, cube = np.divmod(np.asarray(tets), n**3)
+        ix, rest = np.divmod(cube, n * n)
+        iy, iz = np.divmod(rest, n)
+        lowest = (ix * (n + 1) + iy) * (n + 1) + iz
+        return lowest[..., None] + _KUHN_CORNERS[path] @ np.array([(n + 1) * (n + 1), n + 1, 1])
 
 
 def build_bulk_mesh(box, n: int) -> BulkMesh:
@@ -101,25 +132,8 @@ def build_bulk_mesh(box, n: int) -> BulkMesh:
     vertices[..., 0] = axes[0][:, None, None]
     vertices[..., 1] = axes[1][:, None]
     vertices[..., 2] = axes[2]
-
-    idx = np.arange(n)
-    base = ((idx[:, None, None] * (n + 1) + idx[:, None]) * (n + 1) + idx).ravel()
-    stride = np.array([(n + 1) * (n + 1), n + 1, 1])
-
-    cubes = len(base)
-    tets = np.empty((6 * cubes, 4), dtype=base.dtype)
-    for k, perm in enumerate(itertools.permutations(range(3))):
-        offsets = np.zeros((4, 3), dtype=int)
-        for m, axis in enumerate(perm):
-            offsets[m + 1 :, axis] = 1
-        corner = offsets @ stride
-        if _perm_sign(perm) < 0:
-            corner = corner[[0, 1, 3, 2]]
-        np.add(base[:, None], corner, out=tets[k * cubes : (k + 1) * cubes])
     spacing = (box[:, 1] - box[:, 0]) / n
-    return BulkMesh(
-        vertices=vertices.reshape(-1, 3), tets=tets, h_bulk=float(np.linalg.norm(spacing))
-    )
+    return BulkMesh(vertices=vertices.reshape(-1, 3), n=n, h_bulk=float(np.linalg.norm(spacing)))
 
 
 @dataclass
@@ -156,12 +170,22 @@ def extract_trace_surface(bulk: BulkMesh, psi) -> RawTraceSurface:
     values = np.where(np.abs(values) < tiny, tiny, values)
 
     neg = values < 0.0
-    signs = np.ascontiguousarray(neg[bulk.tets])
+    # Only a cube whose eight corners do not all share a sign holds cut
+    # tetrahedra; its six are the candidates, path-major like the global ids.
+    n = bulk.n
+    lattice = neg.reshape(n + 1, n + 1, n + 1)
+    n_neg = np.zeros((n, n, n), dtype=np.uint8)
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        n_neg += lattice[a : a + n, b : b + n, c : c + n]
+    cubes = np.flatnonzero((n_neg > 0) & (n_neg < 8))
+    candidates = (np.arange(6)[:, None] * n**3 + cubes).ravel()
+    corners = bulk.tet_corners(candidates)
+    signs = np.ascontiguousarray(neg[corners])
     # the four sign bytes of a tetrahedron read as one word: cut unless all equal
     pattern = signs.view(np.uint32)[:, 0]
-    cut_ids = np.nonzero((pattern != 0) & (pattern != 0x01010101))[0]
-    n_minus = signs[cut_ids].sum(axis=1)
-    corners = bulk.tets[cut_ids]
+    cut = (pattern != 0) & (pattern != 0x01010101)
+    cut_ids, corners = candidates[cut], corners[cut]
+    n_minus = signs[cut].sum(axis=1)
     rows = np.arange(len(corners))[:, None]
     corners = corners[rows, np.argsort(~neg[corners], axis=1, kind="stable")]
     ends = corners[rows[:, :, None], _CUT_PAIRS[n_minus - 1]]
@@ -281,9 +305,13 @@ class TraceMesh:
     def corner_points(self) -> np.ndarray:
         return self.vertices[self.triangles]
 
+    @cached_property
+    def maps(self) -> AffineMap:
+        """Affine maps of the reference triangle onto the facets, built once."""
+        return AffineMap.from_triangles(self.corner_points())
+
     def areas(self) -> np.ndarray:
-        p = self.corner_points()
-        return 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=-1)
+        return 0.5 * self.maps.jac
 
     def centroids(self) -> np.ndarray:
         return self.corner_points().mean(axis=1)
@@ -453,9 +481,3 @@ def write_off(mesh: TraceMesh, path) -> None:
     lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_vertex_values(path) -> np.ndarray:
-    """Read whitespace-separated level values, one per bulk vertex."""
-    with open(path) as fh:
-        return np.array(fh.read().split(), dtype=float)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from quasitrace.elements import (
+    ASSEMBLY_DEGREE,
     AffineMap,
     EDGE_GAUSS_POINTS,
     ERROR_DEGREE,
@@ -94,6 +95,16 @@ class TestUnisolvence:
 
 
 class TestPushForward:
+    @pytest.mark.parametrize("degree", [ASSEMBLY_DEGREE, ERROR_DEGREE])
+    def test_to_physical_matches_the_einsum(self, sphere_meshes, degree):
+        """Two multiply-adds per point round exactly like the contraction over the 2 reference axes."""
+        pts = triangle_rule(degree)[0]
+        for mesh in sphere_meshes.values():
+            maps = mesh.maps
+            x = maps.to_physical(pts)
+            assert x.tobytes() == (maps.origin[:, None, :] + np.einsum("fid,qd->fqi", maps.A, pts)).tobytes()
+            assert maps[5:9].to_physical(pts).tobytes() == x[5:9].tobytes()
+
     def test_planar_embedding_copies_components(self):
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         amap = AffineMap.from_triangles(verts)
@@ -313,7 +324,7 @@ class TestLagrange:
         c = np.array([0.3, -1.2, 0.4])
         nodal = mesh.vertices @ c
         quad = facet_quadrature(mesh, ERROR_DEGREE)
-        assert np.allclose(eval_p1(nodal[mesh.triangles], quad.ref_points), quad.points @ c, atol=1e-14)
+        assert np.allclose(eval_p1(nodal[mesh.triangles], quad.ref_points), quad.maps.to_physical(quad.ref_points) @ c, atol=1e-14)
 
     def test_second_order_on_sphere(self, sphere, problem, sphere_meshes):
         from quasitrace.postprocess_errors import eoc

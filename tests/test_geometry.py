@@ -19,6 +19,7 @@ from quasitrace.geometry import (
     area_ratio,
     consistency_matrix,
     frame_at,
+    frame_blocks,
     piola_from_surface,
     piola_to_surface,
 )
@@ -74,9 +75,9 @@ class TestSphereClosedForms:
     def test_hessian_annihilates_normal_on_a_trace_mesh(self, sphere, sphere_meshes):
         """The H nu = 0 contract at the assembly-rule points of an extracted mesh."""
         quad = facet_quadrature(sphere_meshes[16], ASSEMBLY_DEGREE)
-        fr = frame_at(sphere, quad.points, quad.normals)
-        hn = np.linalg.norm(np.einsum("...ij,...j->...i", fr.hessian, fr.normal), axis=-1)
-        assert np.all(hn <= 1e-15 * np.linalg.norm(fr.hessian, axis=(-2, -1)))
+        for _, fr in frame_blocks(sphere, quad):
+            hn = np.linalg.norm(np.einsum("...ij,...j->...i", fr.hessian, fr.normal), axis=-1)
+            assert np.all(hn <= 1e-15 * np.linalg.norm(fr.hessian, axis=(-2, -1)))
 
     def test_hessian_matches_finite_differences(self):
         # central differences of the normal field, step 1e-5
@@ -389,10 +390,13 @@ class TestFacetBlocks:
         u_star = postprocess_gradient(mesh, space, fields)
 
         def consumers():
+            injected = injected_exact_fields(mesh, sphere, space, problem)
             return (
                 mesh_stats(mesh, sphere),
                 build_rhs(problem.f, mesh, sphere).values.tobytes(),
                 compute_errors(mesh, sphere, space, problem, fields, u_star=u_star),
+                injected.p_local.tobytes(),
+                injected.u.tobytes(),
             )
 
         default = consumers()

@@ -1,6 +1,7 @@
 """Package structure: modules share only public names, one module numbers
-and signs the vector edge moments, and the geometry kernels stay in closed
-form."""
+and signs the vector edge moments, the geometry kernels stay in closed
+form, and the facet rule is mapped onto physical points one facet block at
+a time."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,44 @@ def test_check_sees_a_dense_solver_call(tmp_path):
         "a = np.linalg.inv(m)\nb = np.linalg.solve(m, v)\nc = np.linalg.eigh(m)\nd = inv(m)\ne = np.linalg.norm(v)\n"
     )
     assert dense_solver_calls(source) == ["mod.py:4", "mod.py:5", "mod.py:6", "mod.py:7"]
+
+
+# The only functions that map a facet rule onto physical points: one facet
+# block at a time, and the whole-mesh L2 projection of the test oracles.
+POINT_MAPPERS = ("frame_blocks", "project_l2")
+
+
+def facet_point_reads(path: Path) -> list[str]:
+    """Reads of a ``points`` or ``to_physical`` attribute outside ``POINT_MAPPERS``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in POINT_MAPPERS
+        for node in ast.walk(func)
+    }
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("points", "to_physical") and id(node) not in allowed
+    ]
+
+
+def test_no_whole_mesh_facet_points():
+    """No module builds the (F, Q, 3) points of a facet rule for a whole mesh."""
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in facet_point_reads(path)]
+    assert offenders == []
+
+
+def test_check_sees_a_facet_point_read(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def frame_blocks(surface, quad):\n"
+        "    return quad.maps[facets].to_physical(quad.ref_points)\n\n"
+        "def mesh_stats(mesh, surface):\n"
+        "    quad = facet_quadrature(mesh, 4)\n"
+        "    x = quad.points\n"
+        "    y = quad.maps.to_physical(quad.ref_points)\n"
+        "    return frame_at(surface, x, quad.face_normals).point\n"
+    )
+    assert facet_point_reads(source) == ["mod.py:6", "mod.py:7"]

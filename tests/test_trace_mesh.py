@@ -1,6 +1,7 @@
 """Bulk mesh construction, level-set extraction and mesh quality tests."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from quasitrace.trace_mesh import (
     build_bulk_mesh,
     extract_trace_surface,
     mesh_stats,
-    read_vertex_values,
     split_quads,
     write_off,
 )
@@ -53,8 +53,16 @@ def mesh_digest(mesh: TraceMesh) -> str:
     return sha.hexdigest()
 
 
+UNIT_CUBE = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+
+
+def all_tets(bulk: BulkMesh) -> np.ndarray:
+    """Vertex ids of every tetrahedron of the lattice, by global id."""
+    return bulk.tet_corners(np.arange(6 * bulk.n**3))
+
+
 def tet_volumes(bulk: BulkMesh) -> np.ndarray:
-    p = bulk.vertices[bulk.tets]
+    p = bulk.vertices[all_tets(bulk)]
     return np.einsum(
         "ti,ti->t", np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), p[:, 3] - p[:, 0]
     ) / 6.0
@@ -64,12 +72,12 @@ class TestBulkMesh:
     def test_single_cube(self):
         bulk = build_bulk_mesh(DEFAULT_BOX, 1)
         assert len(bulk.vertices) == 8
-        assert len(bulk.tets) == 6
+        assert len(np.unique(np.sort(all_tets(bulk), axis=1), axis=0)) == 6
 
     def test_two_per_axis(self):
         bulk = build_bulk_mesh(DEFAULT_BOX, 2)
         assert len(bulk.vertices) == 27
-        assert len(bulk.tets) == 48
+        assert len(np.unique(np.sort(all_tets(bulk), axis=1), axis=0)) == 48
 
     def test_volumes_partition_the_box(self):
         bulk = build_bulk_mesh(DEFAULT_BOX, 2)
@@ -93,7 +101,7 @@ class TestBulkMesh:
         """Every interior triangular face is shared by exactly two tets."""
         bulk = build_bulk_mesh(DEFAULT_BOX, 2)
         counts = {}
-        for tet in bulk.tets:
+        for tet in all_tets(bulk):
             for skip in range(4):
                 face = tuple(sorted(v for i, v in enumerate(tet) if i != skip))
                 counts[face] = counts.get(face, 0) + 1
@@ -112,29 +120,40 @@ class TestBulkMesh:
 
 
 class TestExtraction:
+    """Single-cube cuts: the lattice of the unit cube holds six tetrahedra."""
+
     def test_one_against_three_gives_midpoint_triangle(self):
-        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        bulk = BulkMesh(vertices=verts, tets=np.array([[0, 1, 2, 3]]), h_bulk=np.sqrt(2.0))
-        raw = extract_trace_surface(bulk, np.array([-1.0, 1.0, 1.0, 1.0]))
-        assert raw.faces.shape == (1, 4) and raw.faces[0, 3] == -1
-        expected = {(0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5)}
-        got = {tuple(raw.vertices[v]) for v in raw.faces[0, :3]}
-        assert got == expected
-        # once oriented, the normal points away from the lone negative corner
-        a, b, c = raw.vertices[raw.faces[0, [0, 2, 1] if raw.inward[0] else [0, 1, 2]]]
-        assert np.all(np.cross(b - a, c - a) > 0.0)
+        bulk = build_bulk_mesh(UNIT_CUBE, 1)
+        values = np.ones(8)
+        values[0] = -1.0
+        raw = extract_trace_surface(bulk, values)
+        # every tetrahedron of the cube holds the origin, its lone negative corner
+        assert raw.faces.shape == (6, 4) and np.all(raw.faces[:, 3] == -1)
+        # one cut point per lattice edge leaving the origin, shared by its tetrahedra
+        assert len(raw.vertices) == 7
+        for face, tet, inward in zip(raw.faces, bulk.tet_corners(raw.parent_tet), raw.inward):
+            expected = {tuple(0.5 * bulk.vertices[v]) for v in tet[1:]}
+            got = {tuple(raw.vertices[v]) for v in face[:3]}
+            assert got == expected
+            # once oriented, the normal points away from the lone negative corner
+            a, b, c = raw.vertices[face[[0, 2, 1] if inward else [0, 1, 2]]]
+            assert np.cross(b - a, c - a) @ (a - bulk.vertices[0]) > 0.0
 
     def test_two_against_two_gives_quad(self):
-        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        bulk = BulkMesh(vertices=verts, tets=np.array([[0, 1, 2, 3]]), h_bulk=np.sqrt(2.0))
-        raw = extract_trace_surface(bulk, np.array([-1.0, -1.0, 1.0, 1.0]))
-        assert raw.faces.shape == (1, 4) and np.all(raw.faces[0] >= 0)
-        assert len(raw.vertices) == 4
+        bulk = build_bulk_mesh(UNIT_CUBE, 1)
+        # negative on the z = 0 face: the paths stepping along z second are cut 2 | 2
+        values = np.where(bulk.vertices[:, 2] == 0.0, -1.0, 1.0)
+        raw = extract_trace_surface(bulk, values)
+        n_minus = (values[bulk.tet_corners(raw.parent_tet)] < 0.0).sum(axis=1)
+        is_quad = raw.faces[:, 3] >= 0
+        assert np.array_equal(is_quad, n_minus == 2) and is_quad.sum() == 2
+        for face in raw.faces[is_quad]:
+            assert np.all(face >= 0) and len(np.unique(face)) == 4
+            assert len(np.unique(raw.vertices[face], axis=0)) == 4
 
     def test_uncut_tet_contributes_nothing(self):
-        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        bulk = BulkMesh(vertices=verts, tets=np.array([[0, 1, 2, 3]]), h_bulk=np.sqrt(2.0))
-        raw = extract_trace_surface(bulk, np.array([1.0, 1.0, 1.0, 1.0]))
+        bulk = build_bulk_mesh(UNIT_CUBE, 1)
+        raw = extract_trace_surface(bulk, np.ones(8))
         assert len(raw.faces) == 0
         assert raw.vertices.shape == (0, 3) and raw.faces.shape == (0, 4)
         with pytest.raises(RuntimeError, match="empty"):
@@ -148,7 +167,7 @@ class TestExtraction:
         mesh = bisect_quads(raw, surface=sphere)
         worst = 0.0
         for face in range(0, mesh.n_triangles, 7):
-            tet = bulk.tets[mesh.parent_tet[face]]
+            tet = bulk.tet_corners(mesh.parent_tet[face])
             corners = bulk.vertices[tet]
             system = np.vstack([corners.T, np.ones(4)])
             for vid in mesh.triangles[face]:
@@ -167,15 +186,25 @@ class TestExtraction:
         assert np.array_equal(mesh1.triangles, mesh2.triangles)
         assert np.array_equal(mesh1.face_normals, mesh2.face_normals)
 
-    def test_vertex_values_from_file(self, sphere, tmp_path):
+    def test_vertex_values_from_file(self, sphere):
+        """Level values given as an array, as read from a file, cut like the callable."""
         bulk = build_bulk_mesh(DEFAULT_BOX, 6)
-        values = sphere.signed_distance(bulk.vertices)
-        path = tmp_path / "levels.txt"
-        path.write_text(" ".join(f"{v:.17g}" for v in values))
-        from_file = extract_trace_surface(bulk, read_vertex_values(path))
+        from_file = extract_trace_surface(bulk, sphere.signed_distance(bulk.vertices))
         direct = extract_trace_surface(bulk, sphere.signed_distance)
         assert np.array_equal(from_file.vertices, direct.vertices)
         assert np.array_equal(from_file.faces, direct.faces)
+
+    def test_cut_cubes_only(self, sphere):
+        """The cut stays below the size of the full 6 n^3 tetrahedron array."""
+        n = 64
+        tracemalloc.start()
+        try:
+            raw = extract_trace_surface(build_bulk_mesh(DEFAULT_BOX, n), sphere.signed_distance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(raw.faces) > 0
+        assert peak < 6 * n**3 * 4 * 8
 
     def test_rejects_level_function_positive_inside(self, sphere):
         bulk = build_bulk_mesh(DEFAULT_BOX, 8)
