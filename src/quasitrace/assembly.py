@@ -19,7 +19,11 @@ embeds global coefficients in the conforming cross-check matrices.
 A direct solve of the full conforming indefinite system (with a scalar
 Lagrange multiplier for the mean constraint) is provided as an independent
 cross-check; hybridization and the direct solve are algebraically
-equivalent.
+equivalent.  The cross-check factors a quasi-definite shift of the
+saddle-point matrix (its zero block made slightly negative definite) with a
+symmetric minimum-degree ordering and no pivoting, then refines against the
+exact matrix (Vanderbei, SIAM J. Optim. 1995; Gill, Saunders & Shinnerl,
+SIAM J. Matrix Anal. Appl. 1996).
 """
 
 from __future__ import annotations
@@ -59,16 +63,26 @@ __all__ = [
     "effective_condition_number",
 ]
 
-def _direct_solve(matrix: sp.csc_matrix, rhs: np.ndarray, refine: int = 2) -> np.ndarray:
-    """Sparse LU solve with a few steps of iterative refinement.
+# Relative size of the shift that makes the saddle-point zero block negative
+# definite, in units of the largest diagonal entry of the vector mass matrix.
+SADDLE_REGULARIZATION = 1e-12
+
+# Relative residual above which a solve warns; it matches the conditioning
+# slack of the hybrid / direct equivalence (acceptance criterion 6).
+RESIDUAL_WARNING = 1e-8
+
+
+def _refined_solve(matrix: sp.csc_matrix, rhs: np.ndarray, lu) -> np.ndarray:
+    """Solve with the factor ``lu`` and two steps of iterative refinement on ``matrix``.
 
     Anisotropic cut facets make the assembled systems poorly conditioned;
     refinement recovers small residuals at the cost of extra triangular
-    solves on the same factorization.
+    solves on the same factorization.  Residuals are taken against
+    ``matrix``, so a factor of a nearby matrix converges to the solution of
+    ``matrix`` itself.
     """
-    lu = splu(matrix)
     x = lu.solve(rhs)
-    for _ in range(refine):
+    for _ in range(2):
         x += lu.solve(rhs - matrix @ x)
     return x
 
@@ -218,16 +232,23 @@ class SolutionFields:
     residual_balance: float = np.nan   # relative defect of the balance equation
 
 
-def _residuals(dofs: EdgeDofs, blocks: LocalBlocks, p_local: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    a_mat, b_mat = conforming_matrices(dofs, blocks)
-    p_glob = global_vector_coefficients(dofs, p_local)
-    r1 = a_mat @ p_glob - b_mat.T @ u
-    scale1 = np.linalg.norm(a_mat @ p_glob) + np.linalg.norm(b_mat.T @ u)
-    r2 = np.einsum("fk,fk->f", blocks.div, p_local) - blocks.load
+def _record_residuals(
+    fields: SolutionFields, dofs: EdgeDofs, blocks: LocalBlocks, a_mat: sp.csr_matrix, b_mat: sp.csr_matrix, what: str
+) -> None:
+    """Store both relative residuals of ``fields`` and warn when either exceeds ``RESIDUAL_WARNING``."""
+    p_glob = global_vector_coefficients(dofs, fields.p_local)
+    r1 = a_mat @ p_glob - b_mat.T @ fields.u
+    scale1 = np.linalg.norm(a_mat @ p_glob) + np.linalg.norm(b_mat.T @ fields.u)
+    r2 = np.einsum("fk,fk->f", blocks.div, fields.p_local) - blocks.load
     scale2 = np.linalg.norm(blocks.load)
     res1 = float(np.linalg.norm(r1) / max(scale1, 1e-300))
     res2 = float(np.linalg.norm(r2) / max(scale2, 1e-300)) if scale2 > 0 else float(np.linalg.norm(r2))
-    return res1, res2
+    fields.residual_flux, fields.residual_balance = res1, res2
+    # degenerate cut facets push the flux-equation residual above the
+    # exact-arithmetic level
+    worst = max(res1, res2)
+    if worst > RESIDUAL_WARNING:
+        warnings.warn(f"discrete equations satisfied only to {worst:.3e} (ill-conditioned {what})", stacklevel=3)
 
 
 def solve_hybrid(system: HybridSystem) -> SolutionFields:
@@ -236,8 +257,11 @@ def solve_hybrid(system: HybridSystem) -> SolutionFields:
     Both residuals of the recovered fields are recorded; a warning is raised
     when either exceeds 1e-8.
     """
+    # COLAMD with partial pivoting, the SuperLU default: a symmetric ordering
+    # would cut the fill, but it moves the solution at round-off, and
+    # study.csv resolves that.
     try:
-        sol = _direct_solve(system.matrix, system.rhs)
+        lu = splu(system.matrix)
     except RuntimeError as exc:
         cond = "n/a"
         if system.n_multipliers <= 2000:
@@ -246,6 +270,7 @@ def solve_hybrid(system: HybridSystem) -> SolutionFields:
             f"factorization of the multiplier system failed "
             f"({system.n_multipliers} unknowns, effective condition {cond})"
         ) from exc
+    sol = _refined_solve(system.matrix, system.rhs, lu)
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("multiplier solve produced non-finite values")
     lam = sol[:-1]
@@ -263,18 +288,8 @@ def solve_hybrid(system: HybridSystem) -> SolutionFields:
         space=system.space.name,
         mean_u=float((0.5 * system.blocks.maps.jac * u).sum()),
     )
-    res1, res2 = _residuals(system.dofs, system.blocks, p_local, u)
-    fields.residual_flux = res1
-    fields.residual_balance = res2
-    # degenerate cut facets push the flux-equation residual above the
-    # exact-arithmetic level; 1e-8 matches the conditioning slack of the
-    # hybrid / direct equivalence
-    if max(res1, res2) > 1e-8:
-        warnings.warn(
-            f"discrete equations satisfied only to {max(res1, res2):.3e} "
-            "(ill-conditioned multiplier system)",
-            stacklevel=2,
-        )
+    a_mat, b_mat = conforming_matrices(system.dofs, system.blocks)
+    _record_residuals(fields, system.dofs, system.blocks, a_mat, b_mat, "multiplier system")
     return fields
 
 
@@ -308,12 +323,23 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None 
 
     Cross-check for the hybrid path: same local blocks, no condensation, the
     facet-mean constraint enforced through one scalar Lagrange multiplier.
-    Intended for moderate problem sizes.
+
+    The saddle-point matrix K = [[A, -B^T, 0], [-B, 0, -a], [0, -a^T, 0]]
+    has a zero block.  Shifting that block by -delta I, with delta =
+    ``SADDLE_REGULARIZATION`` * max diag(A), makes the matrix quasi-definite
+    (A positive definite, the shifted block negative definite), so every
+    symmetric ordering has nonzero pivots: it is factored with a symmetric
+    minimum-degree ordering and no pivoting, which fills far less than an
+    unsymmetric ordering of K.  Iterative refinement takes its residuals
+    against the unshifted K, so the error contracts by a factor of about
+    delta * |K^{-1}| per step and the result solves K itself.
+    Both residuals are recorded; a warning is raised when either exceeds
+    1e-8, as in ``solve_hybrid``.
     """
     blocks = assemble_local_blocks(mesh, space, rhs=rhs)
     dofs = edge_dofs(mesh, space)
     a_mat, b_mat = conforming_matrices(dofs, blocks)
-    nf = len(mesh.triangles)
+    n_p, nf = a_mat.shape[0], len(mesh.triangles)
     areas = 0.5 * blocks.maps.jac
     area_col = sp.csc_matrix(areas[:, None])
     system = sp.bmat(
@@ -324,23 +350,27 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None 
         ],
         format="csc",
     )
-    full_rhs = np.concatenate([np.zeros(a_mat.shape[0]), -blocks.load, [0.0]])
-    sol = _direct_solve(system, full_rhs)
+    delta = SADDLE_REGULARIZATION * a_mat.diagonal().max()
+    shift = sp.diags(np.concatenate([np.zeros(n_p), np.full(nf + 1, delta)]), format="csc")
+    try:
+        lu = splu(
+            system - shift, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+    except RuntimeError as exc:
+        raise RuntimeError(f"factorization of the saddle-point system failed ({system.shape[0]} unknowns)") from exc
+    full_rhs = np.concatenate([np.zeros(n_p), -blocks.load, [0.0]])
+    sol = _refined_solve(system, full_rhs, lu)
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("saddle-point solve produced non-finite values")
-    p_glob = sol[: a_mat.shape[0]]
-    u = sol[a_mat.shape[0] : a_mat.shape[0] + nf]
-    p_local = local_vector_coefficients(dofs, p_glob)
+    u = sol[n_p : n_p + nf]
     fields = SolutionFields(
-        p_local=p_local,
+        p_local=local_vector_coefficients(dofs, sol[:n_p]),
         u=u,
         multipliers=None,
         space=space.name,
         mean_u=float((areas * u).sum()),
     )
-    res1, res2 = _residuals(dofs, blocks, p_local, u)
-    fields.residual_flux = res1
-    fields.residual_balance = res2
+    _record_residuals(fields, dofs, blocks, a_mat, b_mat, "saddle-point system")
     return fields
 
 

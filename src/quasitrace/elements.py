@@ -15,7 +15,7 @@ a 3x2 derivative; vector fields are pushed with the flux-preserving scaling
 A / jac, scalars by plain composition.  A mesh builds its affine maps once
 (``TraceMesh.maps``); ``facet_quadrature`` pairs them with a triangle rule,
 and the physical points of that rule are formed one facet block at a time
-(``geometry.frame_blocks``), never for a whole mesh outside ``project_l2``.
+(``geometry.frame_blocks``, ``project_l2``), never for a whole mesh.
 """
 
 from __future__ import annotations
@@ -364,14 +364,17 @@ def global_vector_coefficients(dofs: EdgeDofs, p_local: np.ndarray) -> np.ndarra
 def project_l2(mesh, kind: str, fn) -> np.ndarray:
     """Elementwise L2 projection of a scalar onto p0 or p1.
 
-    ``fn(points, faces)`` evaluates the scalar at physical points of the
-    error rule.  Returns means (F,) for p0 and reference-vertex nodal
-    coefficients (F, 3) for p1.
+    ``fn(points, faces)`` evaluates the scalar at physical points (f, Q, 3)
+    of the error rule on the facets (f, Q), called once per block of facets
+    (``geometry.facet_slices``) with global facet ids.  Returns means (F,)
+    for p0 and reference-vertex nodal coefficients (F, 3) for p1.
     """
-    quad = facet_quadrature(mesh, ERROR_DEGREE)
-    pts, wts = quad.ref_points, quad.weights
-    x = quad.maps.to_physical(pts)
-    vals = fn(x, np.broadcast_to(np.arange(len(x))[:, None], x.shape[:2]))
+    maps = mesh.maps
+    pts, wts = triangle_rule(ERROR_DEGREE)
+    vals = np.empty((len(maps), len(wts)))
+    for facets in facet_slices(len(maps)):
+        x = maps[facets].to_physical(pts)
+        vals[facets] = fn(x, np.broadcast_to(np.arange(facets.start, facets.stop)[:, None], x.shape[:2]))
     if kind == "p0":
         return 2.0 * (vals @ wts)
     if kind != "p1":

@@ -4,7 +4,9 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import quasitrace.assembly as assembly
 from quasitrace.assembly import (
     assemble_local_blocks,
     build_rhs,
@@ -27,6 +29,7 @@ from quasitrace.elements import (
 from quasitrace.geometry import area_ratio, frame_at
 
 from conftest import (
+    DEFAULT_BOX,
     l2_scalar_diff,
     l2_vector_diff,
     make_sphere_mesh,
@@ -246,6 +249,67 @@ class TestSolvers:
         fields = solve_hybrid(condense_and_assemble(mesh, mixed_space("rt0"), rhs=rhs))
         assert fields.residual_flux < 1e-12
         assert fields.residual_balance < 1e-12
+
+
+def offset_mesh(n: int, seed: int):
+    """Sphere mesh on a lattice shifted by a seeded offset within one cell."""
+    box = np.array(DEFAULT_BOX)
+    offset = np.random.default_rng(seed).uniform(0.0, 1.0, 3) * (box[:, 1] - box[:, 0]) / n
+    return make_sphere_mesh(n, box=box + offset[:, None])
+
+
+class TestQuasiDefiniteSaddleFactor:
+    """The saddle-point system is factored as a quasi-definite shift with a
+    symmetric ordering and refined against the exact matrix."""
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+    def test_exact_and_matches_hybrid_under_lattice_offsets(self, kind, seed, sphere, problem):
+        mesh = offset_mesh(16, seed)
+        space = mixed_space(kind)
+        rhs = build_rhs(problem.f, mesh, sphere)
+        hybrid = solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs))
+        saddle = solve_saddle_point(mesh, space, rhs=rhs)
+        assert max(saddle.residual_flux, saddle.residual_balance) <= 1e-12
+        assert l2_scalar_diff(mesh, hybrid.u, saddle.u) <= 1e-8
+        assert l2_vector_diff(mesh, space, hybrid.p_local, saddle.p_local) <= 1e-8
+
+    def test_symmetric_ordering_cuts_the_fill(self, monkeypatch, sphere, problem):
+        factors = []
+        splu = assembly.splu
+
+        def recording_splu(matrix, **options):
+            lu = splu(matrix, **options)
+            factors.append((matrix, lu))
+            return lu
+
+        monkeypatch.setattr(assembly, "splu", recording_splu)
+        mesh = offset_mesh(24, 2024)
+        space = mixed_space("bdm1")
+        solve_saddle_point(mesh, space, rhs=build_rhs(problem.f, mesh, sphere))
+        (shifted, lu), = factors
+        # undo the shift of the scalar and mean-multiplier diagonal
+        n_p = edge_dofs(mesh, space).size
+        delta = assembly.SADDLE_REGULARIZATION * shifted.diagonal()[:n_p].max()
+        exact = shifted + sp.diags(np.r_[np.zeros(n_p), np.full(shifted.shape[0] - n_p, delta)])
+        colamd = splu(exact.tocsc())
+        assert lu.L.nnz + lu.U.nnz <= 0.5 * (colamd.L.nnz + colamd.U.nnz)
+
+    def test_stalled_refinement_warns(self, monkeypatch, sphere, problem, sphere_meshes):
+        mesh = sphere_meshes[8]
+        monkeypatch.setattr(assembly, "SADDLE_REGULARIZATION", 1e-2)
+        with pytest.warns(UserWarning, match="saddle-point system"):
+            solve_saddle_point(mesh, mixed_space("rt0"), rhs=build_rhs(problem.f, mesh, sphere))
+
+    def test_failed_factorization_names_the_size(self, monkeypatch, sphere_meshes):
+        def singular(matrix, **options):
+            raise RuntimeError("Factor is exactly singular")
+
+        mesh = sphere_meshes[8]
+        monkeypatch.setattr(assembly, "splu", singular)
+        size = edge_dofs(mesh, mixed_space("rt0")).size + mesh.n_triangles + 1
+        with pytest.raises(RuntimeError, match=f"saddle-point system failed \\({size} unknowns"):
+            solve_saddle_point(mesh, mixed_space("rt0"))
 
 
 class TestConformingMatrices:

@@ -1,7 +1,7 @@
 """Package structure: modules share only public names, one module numbers
 and signs the vector edge moments, the geometry kernels stay in closed
-form, and the facet rule is mapped onto physical points one facet block at
-a time."""
+form, the facet rule is mapped onto physical points one facet block at a
+time, and sparse factors are made and applied in fixed places."""
 
 import ast
 from pathlib import Path
@@ -84,8 +84,8 @@ def test_check_sees_a_dense_solver_call(tmp_path):
     assert dense_solver_calls(source) == ["mod.py:4", "mod.py:5", "mod.py:6", "mod.py:7"]
 
 
-# The only functions that map a facet rule onto physical points: one facet
-# block at a time, and the whole-mesh L2 projection of the test oracles.
+# The only functions that map a facet rule onto physical points, both one
+# facet block at a time.
 POINT_MAPPERS = ("frame_blocks", "project_l2")
 
 
@@ -123,3 +123,48 @@ def test_check_sees_a_facet_point_read(tmp_path):
         "    return frame_at(surface, x, quad.face_normals).point\n"
     )
     assert facet_point_reads(source) == ["mod.py:6", "mod.py:7"]
+
+
+# The only functions that may factor a sparse matrix (``splu``) or apply a
+# factor (``.solve``): each solve chooses its factor, and one helper runs
+# the refinement loop against the matrix it is given.
+FACTOR_SITES = {"splu": ("solve_hybrid", "solve_saddle_point"), "solve": ("_refined_solve",)}
+
+
+def factor_calls(path: Path) -> list[str]:
+    """Calls of ``splu`` or of a ``.solve`` method outside the functions ``FACTOR_SITES`` allows."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    enclosing: dict[int, set[str]] = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                enclosing.setdefault(id(node), set()).add(func.name)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in FACTOR_SITES and not enclosing.get(id(node), set()) & set(FACTOR_SITES[name]):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_factors_made_and_applied_in_fixed_places():
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in factor_calls(path)]
+    assert offenders == []
+
+
+def test_check_sees_a_stray_factor_call(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def solve_hybrid(system):\n"
+        "    lu = splu(system.matrix)\n"
+        "    return _refined_solve(system.matrix, system.rhs, lu)\n\n"
+        "def _refined_solve(matrix, rhs, lu):\n"
+        "    return lu.solve(rhs)\n\n"
+        "def condense(k, b):\n"
+        "    lu = scipy.sparse.linalg.splu(k)\n"
+        "    return lu.solve(b)\n"
+    )
+    assert factor_calls(source) == ["mod.py:9", "mod.py:10"]
