@@ -38,7 +38,6 @@ from .assembly import (
     SolutionFields,
     build_rhs,
     condense_and_assemble,
-    effective_condition_number,
     solve_hybrid,
     solve_saddle_point,
 )

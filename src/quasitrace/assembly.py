@@ -37,7 +37,6 @@ from scipy.sparse.linalg import splu
 
 from .elements import (
     ASSEMBLY_DEGREE,
-    AffineMap,
     EdgeDofs,
     MixedSpace,
     edge_dofs,
@@ -60,7 +59,6 @@ __all__ = [
     "solve_saddle_point",
     "conforming_matrices",
     "conformity_defect",
-    "effective_condition_number",
 ]
 
 # Relative size of the shift that makes the saddle-point zero block negative
@@ -127,31 +125,26 @@ class LocalBlocks:
     """Per-facet blocks of the broken mixed system."""
 
     mass: np.ndarray   # (F, nq, nq) vector mass, symmetric positive definite
-    div: np.ndarray    # (F, nq) divergence tested against the constant scalar
+    div: np.ndarray    # (nq,) divergence tested against the constant scalar, on every facet
     load: np.ndarray   # (F,) source tested against the constant scalar
-    maps: AffineMap
 
 
-def assemble_local_blocks(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None = None) -> LocalBlocks:
+def assemble_local_blocks(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> LocalBlocks:
     """Quadrature assembly of mass, divergence and load blocks on every facet.
 
     The assembly rule integrates the piecewise-polynomial mass integrands
     exactly for both supported spaces; the load integrates the samples of
-    ``rhs`` on the same rule, and no ``rhs`` means a zero load.
+    ``rhs`` on the same rule.
     """
     quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
     maps, wts = quad.maps, quad.weights
-    bas = space.vector.basis(quad.ref_points)
+    bas = space.basis(quad.ref_points)
     mass = np.einsum("q,kqa,fab,lqb->fkl", wts, bas, maps.metric, bas, optimize=True)
     mass /= maps.jac[:, None, None]
+    load = np.einsum("q,fq->f", wts, rhs.values) * maps.jac
     # Divergence against the constant test function: the Jacobians cancel,
     # so the row is the same reference constant on every facet.
-    div_row = np.broadcast_to(0.5 * space.vector.divergence(), (len(maps), space.vector.n_dofs)).copy()
-    if rhs is None:
-        load = np.zeros(len(maps))
-    else:
-        load = np.einsum("q,fq->f", wts, rhs.values) * maps.jac
-    return LocalBlocks(mass=mass, div=div_row, load=load, maps=maps)
+    return LocalBlocks(mass=mass, div=0.5 * space.divergence(), load=load)
 
 
 @dataclass
@@ -164,17 +157,16 @@ class HybridSystem:
     dofs: EdgeDofs
     blocks: LocalBlocks
     mesh: TraceMesh
-    space: MixedSpace
 
     @property
     def n_multipliers(self) -> int:
         return self.dofs.size
 
 
-def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None = None) -> HybridSystem:
+def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> HybridSystem:
     """Eliminate facet unknowns and assemble the global multiplier system."""
-    blocks = assemble_local_blocks(mesh, space, rhs=rhs)
-    nq = space.vector.n_dofs
+    blocks = assemble_local_blocks(mesh, space, rhs)
+    nq = space.n_dofs
     nf = len(mesh.triangles)
     k = np.zeros((nf, nq + 1, nq + 1))
     k[:, :nq, :nq] = blocks.mass
@@ -206,7 +198,7 @@ def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | No
     g = np.zeros(n_mult)
     np.add.at(g, ids.ravel(), g_loc.ravel())
 
-    areas = 0.5 * blocks.maps.jac
+    areas = mesh.areas()
     w_loc = -sign * areas[:, None] * kinv[:, :nq, nq]
     w = np.zeros(n_mult)
     np.add.at(w, ids.ravel(), w_loc.ravel())
@@ -216,7 +208,7 @@ def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | No
         [[s_mat, sp.csc_matrix(w[:, None])], [sp.csc_matrix(w[None, :]), None]], format="csc"
     )
     full_rhs = np.concatenate([g, [-w_shift]])
-    return HybridSystem(matrix=bordered, rhs=full_rhs, kinv=kinv, dofs=dofs, blocks=blocks, mesh=mesh, space=space)
+    return HybridSystem(matrix=bordered, rhs=full_rhs, kinv=kinv, dofs=dofs, blocks=blocks, mesh=mesh)
 
 
 @dataclass
@@ -226,7 +218,6 @@ class SolutionFields:
     p_local: np.ndarray            # (F, nq)
     u: np.ndarray                  # (F,)
     multipliers: np.ndarray | None
-    space: str
     mean_u: float
     residual_flux: float = np.nan      # relative defect of the flux equation
     residual_balance: float = np.nan   # relative defect of the balance equation
@@ -239,7 +230,7 @@ def _record_residuals(
     p_glob = global_vector_coefficients(dofs, fields.p_local)
     r1 = a_mat @ p_glob - b_mat.T @ fields.u
     scale1 = np.linalg.norm(a_mat @ p_glob) + np.linalg.norm(b_mat.T @ fields.u)
-    r2 = np.einsum("fk,fk->f", blocks.div, fields.p_local) - blocks.load
+    r2 = np.einsum("k,fk->f", blocks.div, fields.p_local) - blocks.load
     scale2 = np.linalg.norm(blocks.load)
     res1 = float(np.linalg.norm(r1) / max(scale1, 1e-300))
     res2 = float(np.linalg.norm(r2) / max(scale2, 1e-300)) if scale2 > 0 else float(np.linalg.norm(r2))
@@ -263,19 +254,14 @@ def solve_hybrid(system: HybridSystem) -> SolutionFields:
     try:
         lu = splu(system.matrix)
     except RuntimeError as exc:
-        cond = "n/a"
-        if system.n_multipliers <= 2000:
-            cond = f"{effective_condition_number(system.matrix[:-1, :-1]):.3e}"
-        raise RuntimeError(
-            f"factorization of the multiplier system failed "
-            f"({system.n_multipliers} unknowns, effective condition {cond})"
-        ) from exc
+        size = system.matrix.shape[0]
+        raise RuntimeError(f"factorization of the multiplier system failed ({size} unknowns)") from exc
     sol = _refined_solve(system.matrix, system.rhs, lu)
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("multiplier solve produced non-finite values")
     lam = sol[:-1]
-    nq = system.space.vector.n_dofs
-    rhs_loc = np.empty((len(system.mesh.triangles), nq + 1))
+    nf, nq = system.dofs.ids.shape
+    rhs_loc = np.empty((nf, nq + 1))
     rhs_loc[:, :nq] = -system.dofs.coupling * lam[system.dofs.ids]
     rhs_loc[:, nq] = -system.blocks.load
     x = np.einsum("fij,fj->fi", system.kinv, rhs_loc)
@@ -285,8 +271,7 @@ def solve_hybrid(system: HybridSystem) -> SolutionFields:
         p_local=p_local,
         u=u,
         multipliers=lam,
-        space=system.space.name,
-        mean_u=float((0.5 * system.blocks.maps.jac * u).sum()),
+        mean_u=float((system.mesh.areas() * u).sum()),
     )
     a_mat, b_mat = conforming_matrices(system.dofs, system.blocks)
     _record_residuals(fields, system.dofs, system.blocks, a_mat, b_mat, "multiplier system")
@@ -300,7 +285,7 @@ def conforming_matrices(dofs: EdgeDofs, blocks: LocalBlocks) -> tuple[sp.csr_mat
     the divergence matrix correspond to facets (constant scalars).
     """
     ids, sign, n_p = dofs.ids, dofs.conforming, dofs.size
-    nf = len(blocks.div)
+    nf = len(blocks.load)
 
     a_blocks = sign[:, :, None] * sign[:, None, :] * blocks.mass
     rows = np.broadcast_to(ids[:, :, None], a_blocks.shape)
@@ -318,7 +303,7 @@ def conformity_defect(dofs: EdgeDofs, p_local: np.ndarray) -> float:
     return float(np.abs(p_local - local_vector_coefficients(dofs, global_vector_coefficients(dofs, p_local))).max())
 
 
-def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None = None) -> SolutionFields:
+def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> SolutionFields:
     """Direct solve of the full conforming indefinite system.
 
     Cross-check for the hybrid path: same local blocks, no condensation, the
@@ -336,11 +321,11 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None 
     Both residuals are recorded; a warning is raised when either exceeds
     1e-8, as in ``solve_hybrid``.
     """
-    blocks = assemble_local_blocks(mesh, space, rhs=rhs)
+    blocks = assemble_local_blocks(mesh, space, rhs)
     dofs = edge_dofs(mesh, space)
     a_mat, b_mat = conforming_matrices(dofs, blocks)
     n_p, nf = a_mat.shape[0], len(mesh.triangles)
-    areas = 0.5 * blocks.maps.jac
+    areas = mesh.areas()
     area_col = sp.csc_matrix(areas[:, None])
     system = sp.bmat(
         [
@@ -367,22 +352,8 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField | None 
         p_local=local_vector_coefficients(dofs, sol[:n_p]),
         u=u,
         multipliers=None,
-        space=space.name,
         mean_u=float((areas * u).sum()),
     )
     _record_residuals(fields, dofs, blocks, a_mat, b_mat, "saddle-point system")
     return fields
 
-
-def effective_condition_number(matrix, kernel_dim: int = 1, max_size: int = 4000) -> float:
-    """Ratio of the largest eigenvalue to the smallest one above the kernel.
-
-    Dense eigensolve; refuse on large systems.  Reported for diagnostics
-    only, never asserted: node placement can make it arbitrarily poor.
-    """
-    n = matrix.shape[0]
-    if n > max_size:
-        raise ValueError(f"refusing dense eigensolve for n = {n} > {max_size}")
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-    eigs = np.linalg.eigvalsh(dense)
-    return float(eigs[-1] / eigs[kernel_dim])

@@ -2,11 +2,12 @@
 
 Vector unknowns live in the lowest Raviart-Thomas space (``rt0``) or the
 lowest Brezzi-Douglas-Marini space (``bdm1``) on the reference triangle with
-vertices (0,0), (1,0), (0,1); scalars are piecewise constants (``p0``) or
-linears (``p1``).  Vector degrees of freedom are edge-normal moments against
-constants (rt0) or constants and the odd linear weight 2*t - 1 (bdm1), which
-keeps the cross-facet orientation bookkeeping to a single sign per edge even
-when adjacent facets are not coplanar.  ``edge_dofs`` is the one place that
+vertices (0,0), (1,0), (0,1), one ``MixedSpace`` each; scalars are facet
+constants.  Linears appear only as the postprocessed scalar, given by its
+reference-vertex values (``eval_p1``).  Vector degrees of freedom are
+edge-normal moments against constants (rt0) or constants and the odd linear
+weight 2*t - 1 (bdm1), which keeps the cross-facet orientation bookkeeping
+to a single sign per edge even when adjacent facets are not coplanar.  ``edge_dofs`` is the one place that
 numbers the moments globally and signs them per facet; every map between
 facet-local and global coefficients goes through it.
 
@@ -38,8 +39,6 @@ __all__ = [
     "EDGE_GAUSS_POINTS",
     "triangle_rule",
     "gauss_01",
-    "VectorElement",
-    "ScalarElement",
     "MixedSpace",
     "mixed_space",
     "AffineMap",
@@ -105,22 +104,23 @@ def _edge_points(edge: int, t: np.ndarray) -> np.ndarray:
     return (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
 
 
-class VectorElement:
-    """Reference H(div) element, either ``rt0`` or ``bdm1``.
+class MixedSpace:
+    """The H(div) element of the mixed method, ``rt0`` or ``bdm1``.
 
-    The basis is assembled by inverting the matrix of degree-of-freedom
+    Scalars are facet constants and need no element of their own.  The
+    basis is assembled by inverting the matrix of degree-of-freedom
     functionals applied to a generating set, so the moments of the basis are
     the identity by construction (checked in the test suite).
     """
 
-    def __init__(self, kind: str):
-        if kind == "rt0":
+    def __init__(self, name: str):
+        if name == "rt0":
             self.edge_dofs = 1
-        elif kind == "bdm1":
+        elif name == "bdm1":
             self.edge_dofs = 2
         else:
-            raise ValueError(f"unknown vector element '{kind}'")
-        self.kind = kind
+            raise ValueError(f"unknown vector element '{name}'")
+        self.name = name
         self.n_dofs = 3 * self.edge_dofs
         dof = np.empty((self.n_dofs, self.n_dofs))
         t, w = gauss_01(6)
@@ -139,7 +139,7 @@ class VectorElement:
 
     def _generators(self, pts: np.ndarray) -> np.ndarray:
         q = pts.shape[0]
-        if self.kind == "rt0":
+        if self.name == "rt0":
             gen = np.zeros((3, q, 2))
             gen[0, :, 0] = 1.0
             gen[1, :, 1] = 1.0
@@ -155,7 +155,7 @@ class VectorElement:
         return gen
 
     def _generator_divs(self) -> np.ndarray:
-        if self.kind == "rt0":
+        if self.name == "rt0":
             return np.array([0.0, 0.0, 2.0])
         return np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
 
@@ -169,33 +169,10 @@ class VectorElement:
         return self._coeff.T @ self._generator_divs()
 
 
-class ScalarElement:
-    """Reference scalar element, ``p0`` or ``p1`` (barycentric nodal basis)."""
-
-    def __init__(self, kind: str):
-        if kind not in ("p0", "p1"):
-            raise ValueError(f"unknown scalar element '{kind}'")
-        self.kind = kind
-        self.n_dofs = 1 if kind == "p0" else 3
-
-    def basis(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.kind == "p0":
-            return np.ones((1, pts.shape[0]))
-        return np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
-
-
-@dataclass(frozen=True)
-class MixedSpace:
-    """The vector element of the mixed method; scalars are facet constants."""
-
-    name: str
-    vector: VectorElement
-
-
 @lru_cache(maxsize=None)
 def mixed_space(name: str) -> MixedSpace:
-    return MixedSpace(name=name, vector=VectorElement(name))
+    """The ``MixedSpace`` called ``name``, built once per process."""
+    return MixedSpace(name)
 
 
 @dataclass(frozen=True)
@@ -307,7 +284,7 @@ class EdgeDofs:
 
 def edge_dofs(mesh, space: MixedSpace) -> EdgeDofs:
     """Number and sign the edge moments of ``space`` on every facet of ``mesh``."""
-    m = space.vector.edge_dofs
+    m = space.edge_dofs
     moment = np.tile(np.arange(m), 3)       # 0: constant weight, 1: odd weight
     sign = np.repeat(mesh.face_edge_signs, m, axis=1)
     odd = moment == 1
@@ -332,7 +309,7 @@ def interpolate_hdiv(corners: np.ndarray, space: MixedSpace, field) -> np.ndarra
     """
     corners = np.asarray(corners, dtype=float)
     t, w = gauss_01(EDGE_GAUSS_POINTS)
-    weights = np.stack([w, w * (2.0 * t - 1.0)])[: space.vector.edge_dofs]
+    weights = np.stack([w, w * (2.0 * t - 1.0)])[: space.edge_dofs]
     moments = np.empty((len(corners), 3, len(weights)))
     for facets in facet_slices(len(corners)):
         block = corners[facets]
@@ -361,13 +338,12 @@ def global_vector_coefficients(dofs: EdgeDofs, p_local: np.ndarray) -> np.ndarra
     return out
 
 
-def project_l2(mesh, kind: str, fn) -> np.ndarray:
-    """Elementwise L2 projection of a scalar onto p0 or p1.
+def project_l2(mesh, fn) -> np.ndarray:
+    """Elementwise L2 projection of a scalar onto facet constants: its facet means (F,).
 
     ``fn(points, faces)`` evaluates the scalar at physical points (f, Q, 3)
     of the error rule on the facets (f, Q), called once per block of facets
-    (``geometry.facet_slices``) with global facet ids.  Returns means (F,)
-    for p0 and reference-vertex nodal coefficients (F, 3) for p1.
+    (``geometry.facet_slices``) with global facet ids.
     """
     maps = mesh.maps
     pts, wts = triangle_rule(ERROR_DEGREE)
@@ -375,23 +351,16 @@ def project_l2(mesh, kind: str, fn) -> np.ndarray:
     for facets in facet_slices(len(maps)):
         x = maps[facets].to_physical(pts)
         vals[facets] = fn(x, np.broadcast_to(np.arange(facets.start, facets.stop)[:, None], x.shape[:2]))
-    if kind == "p0":
-        return 2.0 * (vals @ wts)
-    if kind != "p1":
-        raise ValueError(f"unknown scalar element '{kind}'")
-    bary = ScalarElement("p1").basis(pts)                      # (3, Q)
-    mass = np.einsum("q,iq,jq->ij", wts, bary, bary)           # jac cancels
-    rhs = np.einsum("q,iq,fq->fi", wts, bary, vals)
-    return rhs @ np.linalg.inv(mass).T
+    return 2.0 * (vals @ wts)
 
 
 def eval_vector(maps: AffineMap, space: MixedSpace, local_coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
     """Evaluate a broken H(div) field at reference points, giving (F, Q, 3)."""
-    bas = space.vector.basis(ref_pts)
+    bas = space.basis(ref_pts)
     return maps.push_vector(np.einsum("kqd,fk->fqd", bas, local_coeffs))
 
 
 def eval_p1(nodal: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
-    """Evaluate facet-wise linear scalars given nodal values (F, 3) -> (F, Q)."""
-    bary = ScalarElement("p1").basis(ref_pts)
-    return np.einsum("fv,vq->fq", np.asarray(nodal, dtype=float), bary)
+    """Evaluate facet-wise linear scalars given reference-vertex values (F, 3) -> (F, Q)."""
+    x, y = np.asarray(ref_pts, dtype=float).T
+    return np.einsum("fv,vq->fq", np.asarray(nodal, dtype=float), np.stack([1.0 - x - y, x, y]))

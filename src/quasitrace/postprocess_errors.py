@@ -147,7 +147,7 @@ def postprocess_neumann(mesh: TraceMesh, space: MixedSpace, fields: SolutionFiel
     # Boundary term: the flux measure is invariant under the element map, so
     # the edge integrals reduce to reference-edge quadrature.
     t, w = gauss_01(EDGE_GAUSS_POINTS)
-    bas_ref = space.vector.basis
+    bas_ref = space.basis
     for e, (a, b) in enumerate(REF_EDGES):
         epts = (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
         phi = bas_ref(epts)                                              # (nq, q, 2)
@@ -166,7 +166,7 @@ def postprocess_gradient(mesh: TraceMesh, space: MixedSpace, fields: SolutionFie
     which collapses to a reference-element integral.
     """
     quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
-    phat = np.einsum("kqd,fk->fqd", space.vector.basis(quad.ref_points), fields.p_local)
+    phat = np.einsum("kqd,fk->fqd", space.basis(quad.ref_points), fields.p_local)
     rhs = -np.einsum("q,fqi->fi", quad.weights, phat)
     return _postprocess_common(rhs, fields.u, quad.maps)
 
@@ -179,7 +179,7 @@ def injected_exact_fields(
     Each edge moment is taken on the facet running along the edge direction
     and shared with the facet across the edge.
     """
-    u_proj = project_l2(mesh, "p0", lambda x, f: problem.u(surface.closest_point(x)))
+    u_proj = project_l2(mesh, lambda x, f: problem.u(surface.closest_point(x)))
     dofs = edge_dofs(mesh, space)
     moments = interpolate_hdiv(mesh.corner_points(), space, transformed_exact_flux(surface, problem, mesh))
     p_local = local_vector_coefficients(dofs, global_vector_coefficients(dofs, moments))
@@ -188,7 +188,6 @@ def injected_exact_fields(
         p_local=p_local,
         u=u_proj,
         multipliers=None,
-        space=space.name,
         mean_u=float((areas * u_proj).sum()),
     )
 
@@ -212,10 +211,9 @@ def compute_errors(
     fields: SolutionFields,
     u_star: np.ndarray | None = None,
     u_star_alt: np.ndarray | None = None,
-    degree: int = ERROR_DEGREE,
 ) -> ErrorNorms:
-    """L2 error norms over the facet mesh at the given quadrature degree."""
-    quad = facet_quadrature(mesh, degree)
+    """L2 error norms over the facet mesh on the error rule (degree ``ERROR_DEGREE``)."""
+    quad = facet_quadrature(mesh, ERROR_DEGREE)
     maps, pts, wts, cell = quad.maps, quad.ref_points, quad.weights, quad.cell
     p_gap = np.empty(cell.shape)
     u_lift = np.empty(cell.shape)

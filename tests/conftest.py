@@ -12,8 +12,9 @@ from quasitrace import (
     build_bulk_mesh,
     extract_trace_surface,
 )
+from quasitrace.assembly import RhsField
 from quasitrace.cli import StudyConfig, run_study
-from quasitrace.elements import AffineMap, eval_vector, interpolate_hdiv, triangle_rule
+from quasitrace.elements import ASSEMBLY_DEGREE, AffineMap, eval_vector, interpolate_hdiv, triangle_rule
 from quasitrace.postprocess_errors import manufactured_sphere
 
 DEFAULT_BOX = ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0))
@@ -48,6 +49,12 @@ def tet_boundary_mesh() -> TraceMesh:
     )
     tris = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
     return TraceMesh.from_arrays(verts, tris)
+
+
+def zero_rhs(mesh: TraceMesh) -> RhsField:
+    """An all-zero load sampled on the assembly rule of ``mesh``."""
+    n_points = len(triangle_rule(ASSEMBLY_DEGREE)[1])
+    return RhsField(values=np.zeros((mesh.n_triangles, n_points)), mean_correction=0.0, norm=0.0)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

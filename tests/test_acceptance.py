@@ -113,7 +113,7 @@ def test_criterion_5_commuting_diagram():
                 return np.einsum("id,dm,mq->qi", amap.A[0], quad_coeff, monomials)
 
             coeffs = interpolate_facet(space, verts, field)
-            lhs = float(coeffs @ (0.5 * space.vector.divergence()))
+            lhs = float(coeffs @ (0.5 * space.divergence()))
             rhs = boundary_flux(verts, field)
             worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-10

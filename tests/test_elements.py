@@ -19,7 +19,6 @@ from quasitrace.elements import (
     REF_EDGE_NORMALS,
     REF_EDGES,
     REF_VERTICES,
-    ScalarElement,
     edge_dofs,
     eval_p1,
     eval_vector,
@@ -81,12 +80,12 @@ class TestUnisolvence:
     def test_dof_matrix_is_identity(self, kind):
         space = mixed_space(kind)
         t, w = gauss_01(8)
-        n = space.vector.n_dofs
+        n = space.n_dofs
         dof = np.zeros((n, n))
         for e, (a, b) in enumerate(REF_EDGES):
             pts = (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
-            flux = np.einsum("kqd,d->kq", space.vector.basis(pts), REF_EDGE_NORMALS[e])
-            if space.vector.edge_dofs == 1:
+            flux = np.einsum("kqd,d->kq", space.basis(pts), REF_EDGE_NORMALS[e])
+            if space.edge_dofs == 1:
                 dof[e] = REF_EDGE_LENGTHS[e] * (flux @ w)
             else:
                 dof[2 * e] = REF_EDGE_LENGTHS[e] * (flux @ w)
@@ -130,10 +129,10 @@ class TestPushForward:
             for e, (a, b) in enumerate(REF_EDGES):
                 ref_pts = (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
                 ref_flux = REF_EDGE_LENGTHS[e] * float(
-                    w @ np.einsum("kqd,k,d->q", space.vector.basis(ref_pts), coeffs, REF_EDGE_NORMALS[e])
+                    w @ np.einsum("kqd,k,d->q", space.basis(ref_pts), coeffs, REF_EDGE_NORMALS[e])
                 )
                 vals = amap.push_vector(
-                    np.einsum("kqd,k->qd", space.vector.basis(ref_pts), coeffs)[None]
+                    np.einsum("kqd,k->qd", space.basis(ref_pts), coeffs)[None]
                 )[0]
                 pa, pb = verts[a], verts[b]
                 length = np.linalg.norm(pb - pa)
@@ -199,7 +198,7 @@ class TestInterpolation:
                 return np.einsum("id,dm,mq->qi", amap.A[0], quad_coeff, monomials)
 
             coeffs = interpolate_facet(space, verts, field)
-            lhs = float(coeffs @ (0.5 * space.vector.divergence()))
+            lhs = float(coeffs @ (0.5 * space.divergence()))
             rhs = boundary_flux(verts, field)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -208,7 +207,7 @@ class TestInterpolation:
         mesh = tet_boundary_mesh()
         for kind in ("rt0", "bdm1"):
             space = mixed_space(kind)
-            nd = space.vector.edge_dofs
+            nd = space.edge_dofs
             t, w = gauss_01(6)
             for gdof in range(nd * mesh.n_edges):
                 coeffs = np.zeros(nd * mesh.n_edges)
@@ -256,7 +255,7 @@ class TestInterpolation:
         weights = np.stack([w, w * (2.0 * t - 1.0)])
         for kind in ("rt0", "bdm1"):
             space = mixed_space(kind)
-            nd = space.vector.edge_dofs
+            nd = space.edge_dofs
             got = interpolate_hdiv(mesh.corner_points(), space, field)
             want = np.empty_like(got)
             for f, verts in enumerate(mesh.corner_points()):
@@ -287,34 +286,30 @@ class TestInterpolation:
 
 class TestProjection:
     def test_constants_reproduced(self, sphere_meshes):
-        mesh = sphere_meshes[8]
-        for kind in ("p0", "p1"):
-            out = project_l2(mesh, kind, lambda x, f: np.full(x.shape[:-1], 2.5))
-            assert np.abs(out - 2.5).max() < 1e-12
+        out = project_l2(sphere_meshes[8], lambda x, f: np.full(x.shape[:-1], 2.5))
+        assert np.abs(out - 2.5).max() < 1e-12
 
     def test_p0_of_affine_is_centroid_value(self):
         rng = np.random.default_rng(35)
         mesh = tet_boundary_mesh()
         c = rng.normal(size=3)
 
-        out = project_l2(mesh, "p0", lambda x, f: x @ c)
+        out = project_l2(mesh, lambda x, f: x @ c)
         assert np.allclose(out, mesh.centroids() @ c, atol=1e-13)
 
     def test_orthogonality_of_residual(self):
-        rng = np.random.default_rng(36)
+        """A cubic minus its facet mean integrates to zero on every facet."""
         mesh = tet_boundary_mesh()
 
         def cubic(x, faces):
             return x[..., 0] ** 3 - 2.0 * x[..., 1] * x[..., 2] ** 2 + x[..., 0] * x[..., 1]
 
-        nodal = project_l2(mesh, "p1", cubic)
+        means = project_l2(mesh, cubic)
         maps = AffineMap.from_triangles(mesh.corner_points())
         pts, wts = triangle_rule(8)
         x = maps.to_physical(pts)
         faces = np.broadcast_to(np.arange(4)[:, None], x.shape[:2])
-        residual = cubic(x, faces) - np.einsum("fv,vq->fq", nodal, ScalarElement("p1").basis(pts))
-        bary = ScalarElement("p1").basis(pts)
-        defect = np.einsum("q,fq,vq->fv", wts, residual, bary) * maps.jac[:, None]
+        defect = ((cubic(x, faces) - means[:, None]) @ wts) * maps.jac
         assert np.abs(defect).max() < 1e-12
 
 
@@ -337,7 +332,7 @@ class TestLagrange:
             pts, wts = triangle_rule(6)
             x = maps.to_physical(pts)
             lifted = problem.u(sphere.closest_point(x))
-            interp = np.einsum("fv,vq->fq", nodal[mesh.triangles], ScalarElement("p1").basis(pts))
+            interp = eval_p1(nodal[mesh.triangles], pts)
             cell = wts[None, :] * maps.jac[:, None]
             errs.append(float(np.sqrt((cell * (lifted - interp) ** 2).sum())))
             hs.append(mesh.h)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import quasitrace.geometry as geometry
 from quasitrace.assembly import build_rhs
-from quasitrace.elements import ASSEMBLY_DEGREE, facet_quadrature, mixed_space, project_l2
+from quasitrace.elements import ASSEMBLY_DEGREE, facet_quadrature, mixed_space
 from quasitrace.geometry import (
     Sphere,
     _resolvent_weights,
@@ -397,7 +397,6 @@ class TestFacetBlocks:
                 compute_errors(mesh, sphere, space, problem, fields, u_star=u_star),
                 injected.p_local.tobytes(),
                 injected.u.tobytes(),
-                project_l2(mesh, "p1", lambda x, f: problem.u(sphere.closest_point(x))).tobytes(),
             )
 
         default = consumers()

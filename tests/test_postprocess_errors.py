@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from quasitrace.assembly import RhsField, SolutionFields, build_rhs, condense_and_assemble, solve_hybrid
-from quasitrace.elements import (
-    ASSEMBLY_DEGREE,
-    AffineMap,
-    interpolate_hdiv,
-    mixed_space,
-    project_l2,
-    triangle_rule,
-)
+import quasitrace.postprocess_errors as postprocess_errors
+from quasitrace.assembly import SolutionFields, build_rhs, condense_and_assemble, solve_hybrid
+from quasitrace.elements import AffineMap, interpolate_hdiv, mixed_space, project_l2, triangle_rule
 from quasitrace.postprocess_errors import (
     compute_errors,
     eoc,
@@ -21,7 +15,7 @@ from quasitrace.postprocess_errors import (
     postprocess_neumann,
 )
 
-from conftest import tet_boundary_mesh
+from conftest import tet_boundary_mesh, zero_rhs
 
 
 class TestManufacturedProblem:
@@ -64,13 +58,12 @@ class TestManufacturedProblem:
 
 def affine_consistency_fields(mesh, space, direction, offset):
     """Exact data for an ambient affine scalar: facet gradients and means."""
-    u_mean = project_l2(mesh, "p0", lambda x, f: x @ direction + offset)
+    u_mean = project_l2(mesh, lambda x, f: x @ direction + offset)
     nu_h = mesh.face_normals
     grad = direction - (nu_h @ direction)[:, None] * nu_h
     p_local = interpolate_hdiv(mesh.corner_points(), space, lambda pts, faces: -grad[faces])
     return SolutionFields(
-        p_local=p_local, u=u_mean, multipliers=None, space=space.name,
-        mean_u=float((mesh.areas() * u_mean).sum()),
+        p_local=p_local, u=u_mean, multipliers=None, mean_u=float((mesh.areas() * u_mean).sum()),
     )
 
 
@@ -86,9 +79,7 @@ class TestPostprocessing:
         fields = affine_consistency_fields(mesh, space, direction, offset)
 
         exact_nodal = (mesh.corner_points() @ direction) + offset
-        n_points = len(triangle_rule(ASSEMBLY_DEGREE)[1])
-        zero_load = RhsField(values=np.zeros((mesh.n_triangles, n_points)), mean_correction=0.0, norm=0.0)
-        star_n = postprocess_neumann(mesh, space, fields, zero_load)
+        star_n = postprocess_neumann(mesh, space, fields, zero_rhs(mesh))
         star_g = postprocess_gradient(mesh, space, fields)
         assert np.abs(star_n - exact_nodal).max() < 1e-12
         assert np.abs(star_g - exact_nodal).max() < 1e-12
@@ -114,8 +105,7 @@ class TestPostprocessing:
         star = postprocess_gradient(mesh, space, fields)
         target = 7
         perturbed = SolutionFields(
-            p_local=fields.p_local.copy(), u=fields.u.copy(), multipliers=None,
-            space=space.name, mean_u=fields.mean_u,
+            p_local=fields.p_local.copy(), u=fields.u.copy(), multipliers=None, mean_u=fields.mean_u,
         )
         perturbed.p_local[target + 1 :] += 0.37
         perturbed.u[:target] -= 1.4
@@ -155,21 +145,23 @@ class TestErrorNorms:
         )
         fields = SolutionFields(
             p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles),
-            multipliers=None, space="rt0", mean_u=0.0,
+            multipliers=None, mean_u=0.0,
         )
         star = postprocess_gradient(mesh, space, fields)
         errs = compute_errors(mesh, sphere, space, zero_problem, fields, u_star=star)
         assert errs.err_p == 0.0 and errs.err_u == 0.0 and errs.err_eu == 0.0 and errs.err_post == 0.0
 
-    def test_quadrature_refinement_stability(self, sphere, problem, sphere_meshes):
+    def test_quadrature_refinement_stability(self, monkeypatch, sphere, problem, sphere_meshes):
         """Raising the error quadrature from degree 6 to 8 moves nothing."""
         mesh = sphere_meshes[16]
         space = mixed_space("rt0")
         rhs = build_rhs(problem.f, mesh, sphere)
         fields = solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs))
         star = postprocess_neumann(mesh, space, fields, rhs)
-        e6 = compute_errors(mesh, sphere, space, problem, fields, u_star=star, degree=6)
-        e8 = compute_errors(mesh, sphere, space, problem, fields, u_star=star, degree=8)
+        assert postprocess_errors.ERROR_DEGREE == 6
+        e6 = compute_errors(mesh, sphere, space, problem, fields, u_star=star)
+        monkeypatch.setattr(postprocess_errors, "ERROR_DEGREE", 8)
+        e8 = compute_errors(mesh, sphere, space, problem, fields, u_star=star)
         for name in ("err_p", "err_u", "err_eu", "err_post"):
             assert abs(getattr(e6, name) / getattr(e8, name) - 1.0) < 1e-3
 
