@@ -14,7 +14,6 @@ from .geometry import (
     consistency_matrix,
     frame_at,
     piola_from_surface,
-    piola_to_surface,
 )
 from .trace_mesh import (
     BulkMesh,
@@ -28,9 +27,7 @@ from .trace_mesh import (
 from .elements import (
     AffineMap,
     MixedSpace,
-    interpolate_hdiv,
     mixed_space,
-    project_l2,
     triangle_rule,
 )
 from .assembly import (

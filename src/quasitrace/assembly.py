@@ -40,9 +40,9 @@ from .elements import (
     EdgeDofs,
     MixedSpace,
     edge_dofs,
-    facet_quadrature,
     global_vector_coefficients,
     local_vector_coefficients,
+    triangle_rule,
 )
 from .geometry import SurfaceField, area_ratio, frame_blocks
 from .trace_mesh import TraceMesh
@@ -58,7 +58,6 @@ __all__ = [
     "solve_hybrid",
     "solve_saddle_point",
     "conforming_matrices",
-    "conformity_defect",
 ]
 
 # Relative size of the shift that makes the saddle-point zero block negative
@@ -103,10 +102,10 @@ class RhsField:
 
 def build_rhs(f, mesh: TraceMesh, surface: SurfaceField) -> RhsField:
     """Sample the mean-free discrete load of a compatible surface source."""
-    quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
-    cell = quad.cell
+    pts, wts = triangle_rule(ASSEMBLY_DEGREE)
+    cell = wts[None, :] * mesh.maps.jac[:, None]
     weighted = np.empty(cell.shape)
-    for facets, frames in frame_blocks(surface, quad):
+    for facets, frames in frame_blocks(surface, mesh, pts):
         weighted[facets] = area_ratio(frames) * f(frames.closest)
     total_area = float(cell.sum())
     mean_correction = float((cell * weighted).sum() / total_area)
@@ -136,9 +135,9 @@ def assemble_local_blocks(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> 
     exactly for both supported spaces; the load integrates the samples of
     ``rhs`` on the same rule.
     """
-    quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
-    maps, wts = quad.maps, quad.weights
-    bas = space.basis(quad.ref_points)
+    maps = mesh.maps
+    pts, wts = triangle_rule(ASSEMBLY_DEGREE)
+    bas = space.basis(pts)
     mass = np.einsum("q,kqa,fab,lqb->fkl", wts, bas, maps.metric, bas, optimize=True)
     mass /= maps.jac[:, None, None]
     load = np.einsum("q,fq->f", wts, rhs.values) * maps.jac
@@ -156,7 +155,6 @@ class HybridSystem:
     kinv: np.ndarray               # (F, nq+1, nq+1) inverses of the local saddle blocks
     dofs: EdgeDofs
     blocks: LocalBlocks
-    mesh: TraceMesh
 
     @property
     def n_multipliers(self) -> int:
@@ -208,7 +206,7 @@ def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> 
         [[s_mat, sp.csc_matrix(w[:, None])], [sp.csc_matrix(w[None, :]), None]], format="csc"
     )
     full_rhs = np.concatenate([g, [-w_shift]])
-    return HybridSystem(matrix=bordered, rhs=full_rhs, kinv=kinv, dofs=dofs, blocks=blocks, mesh=mesh)
+    return HybridSystem(matrix=bordered, rhs=full_rhs, kinv=kinv, dofs=dofs, blocks=blocks)
 
 
 @dataclass
@@ -217,8 +215,6 @@ class SolutionFields:
 
     p_local: np.ndarray            # (F, nq)
     u: np.ndarray                  # (F,)
-    multipliers: np.ndarray | None
-    mean_u: float
     residual_flux: float = np.nan      # relative defect of the flux equation
     residual_balance: float = np.nan   # relative defect of the balance equation
 
@@ -265,14 +261,7 @@ def solve_hybrid(system: HybridSystem) -> SolutionFields:
     rhs_loc[:, :nq] = -system.dofs.coupling * lam[system.dofs.ids]
     rhs_loc[:, nq] = -system.blocks.load
     x = np.einsum("fij,fj->fi", system.kinv, rhs_loc)
-    p_local = x[:, :nq]
-    u = x[:, nq]
-    fields = SolutionFields(
-        p_local=p_local,
-        u=u,
-        multipliers=lam,
-        mean_u=float((system.mesh.areas() * u).sum()),
-    )
+    fields = SolutionFields(p_local=x[:, :nq], u=x[:, nq])
     a_mat, b_mat = conforming_matrices(system.dofs, system.blocks)
     _record_residuals(fields, system.dofs, system.blocks, a_mat, b_mat, "multiplier system")
     return fields
@@ -296,11 +285,6 @@ def conforming_matrices(dofs: EdgeDofs, blocks: LocalBlocks) -> tuple[sp.csr_mat
     b_rows = np.broadcast_to(np.arange(nf)[:, None], ids.shape)
     b_mat = sp.coo_matrix((b_data.ravel(), (b_rows.ravel(), ids.ravel())), shape=(nf, n_p)).tocsr()
     return a_mat, b_mat
-
-
-def conformity_defect(dofs: EdgeDofs, p_local: np.ndarray) -> float:
-    """Largest disagreement of shared edge moments read from the two sides."""
-    return float(np.abs(p_local - local_vector_coefficients(dofs, global_vector_coefficients(dofs, p_local))).max())
 
 
 def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> SolutionFields:
@@ -347,13 +331,7 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> Sol
     sol = _refined_solve(system, full_rhs, lu)
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("saddle-point solve produced non-finite values")
-    u = sol[n_p : n_p + nf]
-    fields = SolutionFields(
-        p_local=local_vector_coefficients(dofs, sol[:n_p]),
-        u=u,
-        multipliers=None,
-        mean_u=float((areas * u).sum()),
-    )
+    fields = SolutionFields(p_local=local_vector_coefficients(dofs, sol[:n_p]), u=sol[n_p : n_p + nf])
     _record_residuals(fields, dofs, blocks, a_mat, b_mat, "saddle-point system")
     return fields
 

@@ -1,4 +1,4 @@
-"""Reference elements, quadrature, affine facet maps, and interpolation.
+"""Reference elements, quadrature, affine facet maps, and the edge-moment dof map.
 
 Vector unknowns live in the lowest Raviart-Thomas space (``rt0``) or the
 lowest Brezzi-Douglas-Marini space (``bdm1``) on the reference triangle with
@@ -14,9 +14,9 @@ facet-local and global coefficients goes through it.
 Physical facets are images of the reference triangle under affine maps with
 a 3x2 derivative; vector fields are pushed with the flux-preserving scaling
 A / jac, scalars by plain composition.  A mesh builds its affine maps once
-(``TraceMesh.maps``); ``facet_quadrature`` pairs them with a triangle rule,
-and the physical points of that rule are formed one facet block at a time
-(``geometry.frame_blocks``, ``project_l2``), never for a whole mesh.
+(``TraceMesh.maps``), and the physical points of a triangle rule are formed
+one facet block at a time (``geometry.frame_blocks``), never for a whole
+mesh.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-from .geometry import facet_slices
 
 __all__ = [
     "REF_VERTICES",
@@ -42,14 +40,10 @@ __all__ = [
     "MixedSpace",
     "mixed_space",
     "AffineMap",
-    "FacetQuadrature",
-    "facet_quadrature",
     "EdgeDofs",
     "edge_dofs",
-    "interpolate_hdiv",
     "local_vector_coefficients",
     "global_vector_coefficients",
-    "project_l2",
     "eval_vector",
     "eval_p1",
 ]
@@ -61,7 +55,6 @@ REF_EDGES = ((1, 2), (2, 0), (0, 1))
 REF_EDGE_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 REF_EDGE_NORMALS[0] /= np.sqrt(2.0)
 REF_EDGE_LENGTHS = np.array([np.sqrt(2.0), 1.0, 1.0])
-_EDGE_START, _EDGE_END = np.array(REF_EDGES).T
 
 # Triangle-rule degrees: the assembly rule integrates the piecewise-polynomial
 # mass integrands exactly for both spaces and carries the load; the error
@@ -225,41 +218,9 @@ class AffineMap:
         a = self.A[:, None]
         return self.origin[:, None, :] + (a[..., 0] * x[:, None] + a[..., 1] * y[:, None])
 
-    def to_reference(self, x: np.ndarray) -> np.ndarray:
-        """Pull physical points (F, Q, 3) on the facet planes back to (F, Q, 2)."""
-        rel = np.asarray(x, dtype=float) - self.origin[:, None, :]
-        return np.einsum("fde,fie,fqi->fqd", self.metric_inv, self.A, rel)
-
     def push_vector(self, ref_vals: np.ndarray) -> np.ndarray:
         """Flux-preserving push of reference vectors (F, Q, 2) -> (F, Q, 3)."""
         return np.einsum("fid,fqd->fqi", self.A, ref_vals) / self.jac[:, None, None]
-
-
-@dataclass(frozen=True)
-class FacetQuadrature:
-    """A reference triangle rule paired with the affine maps of every facet.
-
-    Stores no physical points; ``geometry.frame_blocks`` forms them per block.
-    """
-
-    maps: AffineMap
-    ref_points: np.ndarray    # (Q, 2)
-    weights: np.ndarray       # (Q,)
-    cell: np.ndarray          # (F, Q) weights times the area Jacobian
-    face_normals: np.ndarray  # (F, 3) unit facet normals
-
-
-def facet_quadrature(mesh, degree: int) -> FacetQuadrature:
-    """Pair the degree-exact triangle rule with the facet maps of ``mesh``."""
-    maps = mesh.maps
-    pts, wts = triangle_rule(degree)
-    return FacetQuadrature(
-        maps=maps,
-        ref_points=pts,
-        weights=wts,
-        cell=wts[None, :] * maps.jac[:, None],
-        face_normals=mesh.face_normals,
-    )
 
 
 @dataclass(frozen=True)
@@ -297,35 +258,6 @@ def edge_dofs(mesh, space: MixedSpace) -> EdgeDofs:
     )
 
 
-def interpolate_hdiv(corners: np.ndarray, space: MixedSpace, field) -> np.ndarray:
-    """Edge-moment interpolation of a tangential field, facet by facet.
-
-    ``corners`` holds the facet vertices (F, 3, 3).  ``field(points,
-    faces)`` evaluates the field at edge points (f, 3, q, 3) of the facets
-    (f, 3, q), called once per block of facets (``geometry.facet_slices``)
-    with global facet ids.  Returns the local coefficients (F, nq) in each
-    facet's own edge orientation; conormal-continuous fields give
-    conforming ones.
-    """
-    corners = np.asarray(corners, dtype=float)
-    t, w = gauss_01(EDGE_GAUSS_POINTS)
-    weights = np.stack([w, w * (2.0 * t - 1.0)])[: space.edge_dofs]
-    moments = np.empty((len(corners), 3, len(weights)))
-    for facets in facet_slices(len(corners)):
-        block = corners[facets]
-        start = block[:, _EDGE_START]
-        vec = block[:, _EDGE_END] - start                        # (f, 3, 3)
-        length = np.linalg.norm(vec, axis=-1)
-        normal = np.cross(block[:, 1] - block[:, 0], block[:, 2] - block[:, 0])
-        normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-        conormal = np.cross(vec / length[..., None], normal[:, None, :])
-        pts = start[:, :, None, :] + t[:, None] * vec[:, :, None, :]
-        faces = np.broadcast_to(np.arange(facets.start, facets.stop)[:, None, None], pts.shape[:3])
-        flux = np.einsum("fkqi,fki->fkq", field(pts, faces), conormal)
-        moments[facets] = length[..., None] * np.einsum("fkq,mq->fkm", flux, weights)
-    return moments.reshape(len(corners), -1)
-
-
 def local_vector_coefficients(dofs: EdgeDofs, global_coeffs: np.ndarray) -> np.ndarray:
     """Scatter globally oriented edge moments to per-facet local ones."""
     return dofs.conforming * np.asarray(global_coeffs, dtype=float)[dofs.ids]
@@ -336,22 +268,6 @@ def global_vector_coefficients(dofs: EdgeDofs, p_local: np.ndarray) -> np.ndarra
     out = np.empty(dofs.size)
     out[dofs.ids[dofs.plus]] = p_local[dofs.plus]
     return out
-
-
-def project_l2(mesh, fn) -> np.ndarray:
-    """Elementwise L2 projection of a scalar onto facet constants: its facet means (F,).
-
-    ``fn(points, faces)`` evaluates the scalar at physical points (f, Q, 3)
-    of the error rule on the facets (f, Q), called once per block of facets
-    (``geometry.facet_slices``) with global facet ids.
-    """
-    maps = mesh.maps
-    pts, wts = triangle_rule(ERROR_DEGREE)
-    vals = np.empty((len(maps), len(wts)))
-    for facets in facet_slices(len(maps)):
-        x = maps[facets].to_physical(pts)
-        vals[facets] = fn(x, np.broadcast_to(np.arange(facets.start, facets.stop)[:, None], x.shape[:2]))
-    return 2.0 * (vals @ wts)
 
 
 def eval_vector(maps: AffineMap, space: MixedSpace, local_coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:

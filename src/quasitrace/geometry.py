@@ -6,10 +6,10 @@ lines) and its Hessian carries the curvature of the surface and of all
 parallel surfaces inside the tubular neighborhood.
 
 ``TangentFrame`` bundles the pointwise data needed to move fields between a
-flat facet of an extracted mesh and the curved surface: scalars travel via
-the closest-point map, tangential vector fields via flux-preserving
-(Piola-type) maps.  All functions broadcast over arbitrary leading axes;
-points have shape ``(..., 3)``.
+flat facet of an extracted mesh and the curved surface: scalars are lifted
+from the closest point (``TangentFrame.closest``), tangential vector fields
+are pulled back by a flux-preserving (Piola-type) map.  All functions
+broadcast over arbitrary leading axes; points have shape ``(..., 3)``.
 
 Every 3x3 kernel is in closed form.  The distance Hessian H is symmetric
 with the normal nu in its kernel, so its characteristic polynomial is
@@ -41,7 +41,6 @@ __all__ = [
     "frame_at",
     "frame_blocks",
     "area_ratio",
-    "piola_to_surface",
     "piola_from_surface",
     "consistency_matrix",
 ]
@@ -51,7 +50,7 @@ class SurfaceField:
     """Closed surface given through its signed distance function.
 
     Subclasses implement the distance and its first two derivatives; the
-    closest-point map derives from them and need not be overridden.
+    closest-point map is ``TangentFrame.closest``.
     """
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
@@ -69,11 +68,6 @@ class SurfaceField:
         consistency matrix of this module are exact only under it.
         """
         raise NotImplementedError
-
-    def closest_point(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        d = self.signed_distance(points)
-        return points - d[..., None] * self.gradient(points)
 
 
 @dataclass(frozen=True)
@@ -134,11 +128,6 @@ class TangentFrame:
         eye = np.broadcast_to(np.eye(3), self.normal.shape[:-1] + (3, 3))
         return eye - self.normal[..., :, None] * self.normal[..., None, :]
 
-    @property
-    def face_projector(self) -> np.ndarray:
-        eye = np.broadcast_to(np.eye(3), self.face_normal.shape[:-1] + (3, 3))
-        return eye - self.face_normal[..., :, None] * self.face_normal[..., None, :]
-
     @cached_property
     def transversality(self) -> np.ndarray:
         """Cosine between surface and facet normals."""
@@ -186,18 +175,19 @@ def facet_slices(count: int):
         yield slice(start, min(start + FACET_BLOCK, count))
 
 
-def frame_blocks(surface: SurfaceField, quad):
-    """Frames at the points of a facet quadrature, one block of facets at a time.
+def frame_blocks(surface: SurfaceField, mesh, ref_points: np.ndarray):
+    """Frames at reference-triangle points mapped onto every facet, one block of facets at a time.
 
     Yields ``(facets, frame)`` with ``facets`` a slice of the facet axis of
-    ``quad`` and ``frame`` built where the rule maps onto those facets; the
-    points of one block are the only physical points formed.  Consumers
-    fill preallocated per-point arrays block by block and reduce them whole,
-    so their results do not depend on the block size.
+    ``mesh`` and ``frame`` built where ``ref_points`` (Q, 2) map onto those
+    facets; the points of one block are the only physical points formed.
+    Consumers fill preallocated per-point arrays block by block and reduce
+    them whole, so their results do not depend on the block size.
     """
-    for facets in facet_slices(len(quad.cell)):
-        points = quad.maps[facets].to_physical(quad.ref_points)
-        yield facets, frame_at(surface, points, quad.face_normals[facets, None, :])
+    maps = mesh.maps
+    for facets in facet_slices(len(maps)):
+        points = maps[facets].to_physical(ref_points)
+        yield facets, frame_at(surface, points, mesh.face_normals[facets, None, :])
 
 
 def area_ratio(frame: TangentFrame) -> np.ndarray:
@@ -217,20 +207,6 @@ def _resolvent_weights(frame: TangentFrame) -> tuple[np.ndarray, np.ndarray]:
     """Weights a, b with (I - d H)^-1 = I + a H + b H^2 (Cayley-Hamilton)."""
     d = frame.dist
     return d * (1.0 - d * frame.trace) / frame.det_tangent, d * d / frame.det_tangent
-
-
-def piola_to_surface(frame: TangentFrame, p_face: np.ndarray) -> np.ndarray:
-    """Push a facet-tangential vector to a surface-tangential vector.
-
-    ``p_face`` must be tangent to the facet (face_projector fixes it).
-    Flux preserving: together with ``piola_from_surface`` it is the exact
-    inverse pair on tangent fields.  The result is evaluated at the closest
-    point of ``frame.point``.
-    """
-    mu = area_ratio(frame)
-    mat = frame.tangent_projector - frame.dist[..., None, None] * frame.hessian
-    out = np.einsum("...ij,...j->...i", mat, np.asarray(p_face, dtype=float))
-    return out / mu[..., None]
 
 
 def piola_from_surface(frame: TangentFrame, p_surface: np.ndarray) -> np.ndarray:

@@ -28,27 +28,20 @@ from .elements import (
     REF_VERTICES,
     REF_EDGE_LENGTHS,
     REF_EDGE_NORMALS,
-    edge_dofs,
     eval_p1,
     eval_vector,
-    facet_quadrature,
     gauss_01,
-    global_vector_coefficients,
-    interpolate_hdiv,
-    local_vector_coefficients,
-    project_l2,
+    triangle_rule,
 )
-from .geometry import SurfaceField, frame_at, frame_blocks, piola_from_surface
+from .geometry import SurfaceField, frame_blocks, piola_from_surface
 from .trace_mesh import TraceMesh, MeshStats
 from .assembly import RhsField, SolutionFields
 
 __all__ = [
     "ManufacturedProblem",
     "manufactured_sphere",
-    "transformed_exact_flux",
     "postprocess_neumann",
     "postprocess_gradient",
-    "injected_exact_fields",
     "compute_errors",
     "ErrorNorms",
     "LevelRecord",
@@ -108,16 +101,6 @@ def manufactured_sphere() -> ManufacturedProblem:
     return ManufacturedProblem(u=u, grad_u=grad_u, p=p, f=f)
 
 
-def transformed_exact_flux(surface: SurfaceField, problem: ManufacturedProblem, mesh: TraceMesh):
-    """Facet-side evaluator of the pulled-back exact vector unknown."""
-
-    def evaluator(points, faces):
-        frames = frame_at(surface, points, mesh.face_normals[np.asarray(faces)])
-        return piola_from_surface(frames, problem.p(frames.closest))
-
-    return evaluator
-
-
 def _postprocess_common(rhs_meanfree: np.ndarray, u_mean: np.ndarray, maps: AffineMap) -> np.ndarray:
     """Solve the 2x2 mean-free systems and attach the facet means."""
     # Stiffness of the mean-free basis is |T| * metric_inv: the reference
@@ -139,8 +122,8 @@ def postprocess_neumann(mesh: TraceMesh, space: MixedSpace, fields: SolutionFiel
     integrated on the assembly rule it was sampled on.  Returns
     reference-vertex values (F, 3).
     """
-    quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
-    maps, pts, wts = quad.maps, quad.ref_points, quad.weights
+    maps = mesh.maps
+    pts, wts = triangle_rule(ASSEMBLY_DEGREE)
     vbas = np.stack([pts[:, 0] - 1.0 / 3.0, pts[:, 1] - 1.0 / 3.0])      # (2, Q)
     rhs_local = np.einsum("q,fq,iq->fi", wts, rhs.values, vbas) * maps.jac[:, None]
 
@@ -165,31 +148,10 @@ def postprocess_gradient(mesh: TraceMesh, space: MixedSpace, fields: SolutionFie
     (sign-flipped) pairing of the vector unknown with the test gradients,
     which collapses to a reference-element integral.
     """
-    quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
-    phat = np.einsum("kqd,fk->fqd", space.basis(quad.ref_points), fields.p_local)
-    rhs = -np.einsum("q,fqi->fi", quad.weights, phat)
-    return _postprocess_common(rhs, fields.u, quad.maps)
-
-
-def injected_exact_fields(
-    mesh: TraceMesh, surface: SurfaceField, space: MixedSpace, problem: ManufacturedProblem
-) -> SolutionFields:
-    """Best-approximation stand-in for a solve: projected scalar, interpolated vector.
-
-    Each edge moment is taken on the facet running along the edge direction
-    and shared with the facet across the edge.
-    """
-    u_proj = project_l2(mesh, lambda x, f: problem.u(surface.closest_point(x)))
-    dofs = edge_dofs(mesh, space)
-    moments = interpolate_hdiv(mesh.corner_points(), space, transformed_exact_flux(surface, problem, mesh))
-    p_local = local_vector_coefficients(dofs, global_vector_coefficients(dofs, moments))
-    areas = mesh.areas()
-    return SolutionFields(
-        p_local=p_local,
-        u=u_proj,
-        multipliers=None,
-        mean_u=float((areas * u_proj).sum()),
-    )
+    pts, wts = triangle_rule(ASSEMBLY_DEGREE)
+    phat = np.einsum("kqd,fk->fqd", space.basis(pts), fields.p_local)
+    rhs = -np.einsum("q,fqi->fi", wts, phat)
+    return _postprocess_common(rhs, fields.u, mesh.maps)
 
 
 @dataclass(frozen=True)
@@ -213,11 +175,12 @@ def compute_errors(
     u_star_alt: np.ndarray | None = None,
 ) -> ErrorNorms:
     """L2 error norms over the facet mesh on the error rule (degree ``ERROR_DEGREE``)."""
-    quad = facet_quadrature(mesh, ERROR_DEGREE)
-    maps, pts, wts, cell = quad.maps, quad.ref_points, quad.weights, quad.cell
+    maps = mesh.maps
+    pts, wts = triangle_rule(ERROR_DEGREE)
+    cell = wts[None, :] * maps.jac[:, None]
     p_gap = np.empty(cell.shape)
     u_lift = np.empty(cell.shape)
-    for facets, frames in frame_blocks(surface, quad):
+    for facets, frames in frame_blocks(surface, mesh, pts):
         closest = frames.closest
         p_exact = piola_from_surface(frames, problem.p(closest))
         p_h = eval_vector(maps[facets], space, fields.p_local[facets], pts)

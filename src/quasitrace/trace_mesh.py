@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elements import ASSEMBLY_DEGREE, AffineMap, facet_quadrature
+from .elements import ASSEMBLY_DEGREE, AffineMap, triangle_rule
 from .geometry import SurfaceField, area_ratio, consistency_matrix, frame_blocks
 
 __all__ = [
@@ -435,7 +435,6 @@ class MeshStats:
     max_abs_dist: float
     max_normal_gap: float
     min_transversality: float
-    min_area: float
     max_area: float
     max_area_mismatch: float       # sup |1 - area ratio| over quadrature points
     max_consistency_gap: float     # sup |P - B| (Frobenius) over quadrature points
@@ -443,9 +442,9 @@ class MeshStats:
 
 def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
     """Measure the mesh against the continuous surface at the assembly-rule points."""
-    quad = facet_quadrature(mesh, ASSEMBLY_DEGREE)
-    mu, gap_norm, dist, cos_q = (np.empty(quad.cell.shape) for _ in range(4))
-    for facets, frames in frame_blocks(surface, quad):
+    pts, wts = triangle_rule(ASSEMBLY_DEGREE)
+    mu, gap_norm, dist, cos_q = (np.empty((mesh.n_triangles, len(wts))) for _ in range(4))
+    for facets, frames in frame_blocks(surface, mesh, pts):
         mu[facets] = area_ratio(frames)
         bgap = frames.tangent_projector - consistency_matrix(frames)
         gap_norm[facets] = np.sqrt(np.einsum("...ij,...ij->...", bgap, bgap))
@@ -456,7 +455,6 @@ def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
     normal_gap = np.linalg.norm(nu_c - mesh.face_normals, axis=-1)
     cos_all = min(float(cos_q.min()), float(np.einsum("fi,fi->f", nu_c, mesh.face_normals).min()))
 
-    areas = mesh.areas()
     return MeshStats(
         h=mesh.h,
         n_vertices=mesh.n_vertices,
@@ -467,8 +465,7 @@ def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
         max_abs_dist=float(np.abs(dist).max()),
         max_normal_gap=float(normal_gap.max()),
         min_transversality=cos_all,
-        min_area=float(areas.min()),
-        max_area=float(areas.max()),
+        max_area=float(mesh.areas().max()),
         max_area_mismatch=float(np.abs(1.0 - mu).max()),
         max_consistency_gap=float(gap_norm.max()),
     )

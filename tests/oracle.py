@@ -1,0 +1,139 @@
+"""Reference tools of the analysis that the method itself never computes.
+
+The canonical H(div) interpolant (edge moments of a tangential field), the
+L2 projection of the scalar onto facet constants and the inverse of the
+flux-preserving pull-back (Brezzi & Fortin, Mixed and Hybrid Finite Element
+Methods, 1991) back acceptance criteria 5, 7 and 8 and the unit tests.  So
+do the plain closest-point map, the facet tangent projector, the inverse
+facet map and the two-sided conformity defect of broken edge moments.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from quasitrace.assembly import SolutionFields
+from quasitrace.elements import (
+    EDGE_GAUSS_POINTS,
+    ERROR_DEGREE,
+    REF_EDGES,
+    AffineMap,
+    EdgeDofs,
+    MixedSpace,
+    edge_dofs,
+    gauss_01,
+    global_vector_coefficients,
+    local_vector_coefficients,
+    triangle_rule,
+)
+from quasitrace.geometry import SurfaceField, TangentFrame, area_ratio, facet_slices, frame_at, piola_from_surface
+from quasitrace.postprocess_errors import ManufacturedProblem
+from quasitrace.trace_mesh import TraceMesh
+
+_EDGE_START, _EDGE_END = np.array(REF_EDGES).T
+
+
+def closest_point(surface: SurfaceField, points: np.ndarray) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    d = surface.signed_distance(points)
+    return points - d[..., None] * surface.gradient(points)
+
+
+def face_projector(frame: TangentFrame) -> np.ndarray:
+    eye = np.broadcast_to(np.eye(3), frame.face_normal.shape[:-1] + (3, 3))
+    return eye - frame.face_normal[..., :, None] * frame.face_normal[..., None, :]
+
+
+def to_reference(amap: AffineMap, x: np.ndarray) -> np.ndarray:
+    """Pull physical points (F, Q, 3) on the facet planes back to (F, Q, 2)."""
+    rel = np.asarray(x, dtype=float) - amap.origin[:, None, :]
+    return np.einsum("fde,fie,fqi->fqd", amap.metric_inv, amap.A, rel)
+
+
+def piola_to_surface(frame: TangentFrame, p_face: np.ndarray) -> np.ndarray:
+    """Push a facet-tangential vector to a surface-tangential vector.
+
+    ``p_face`` must be tangent to the facet (``face_projector`` fixes it).
+    Flux preserving: together with ``piola_from_surface`` it is the exact
+    inverse pair on tangent fields.  The result is evaluated at the closest
+    point of ``frame.point``.
+    """
+    mu = area_ratio(frame)
+    mat = frame.tangent_projector - frame.dist[..., None, None] * frame.hessian
+    out = np.einsum("...ij,...j->...i", mat, np.asarray(p_face, dtype=float))
+    return out / mu[..., None]
+
+
+def project_l2(mesh, fn) -> np.ndarray:
+    """Elementwise L2 projection of a scalar onto facet constants: its facet means (F,).
+
+    ``fn(points, faces)`` evaluates the scalar at physical points (f, Q, 3)
+    of the error rule on the facets (f, Q), called once per block of facets
+    (``geometry.facet_slices``) with global facet ids.
+    """
+    maps = mesh.maps
+    pts, wts = triangle_rule(ERROR_DEGREE)
+    vals = np.empty((len(maps), len(wts)))
+    for facets in facet_slices(len(maps)):
+        x = maps[facets].to_physical(pts)
+        vals[facets] = fn(x, np.broadcast_to(np.arange(facets.start, facets.stop)[:, None], x.shape[:2]))
+    return 2.0 * (vals @ wts)
+
+
+def interpolate_hdiv(corners: np.ndarray, space: MixedSpace, field) -> np.ndarray:
+    """Edge-moment interpolation of a tangential field, facet by facet.
+
+    ``corners`` holds the facet vertices (F, 3, 3).  ``field(points,
+    faces)`` evaluates the field at edge points (f, 3, q, 3) of the facets
+    (f, 3, q), called once per block of facets (``geometry.facet_slices``)
+    with global facet ids.  Returns the local coefficients (F, nq) in each
+    facet's own edge orientation; conormal-continuous fields give
+    conforming ones.
+    """
+    corners = np.asarray(corners, dtype=float)
+    t, w = gauss_01(EDGE_GAUSS_POINTS)
+    weights = np.stack([w, w * (2.0 * t - 1.0)])[: space.edge_dofs]
+    moments = np.empty((len(corners), 3, len(weights)))
+    for facets in facet_slices(len(corners)):
+        block = corners[facets]
+        start = block[:, _EDGE_START]
+        vec = block[:, _EDGE_END] - start                        # (f, 3, 3)
+        length = np.linalg.norm(vec, axis=-1)
+        normal = np.cross(block[:, 1] - block[:, 0], block[:, 2] - block[:, 0])
+        normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+        conormal = np.cross(vec / length[..., None], normal[:, None, :])
+        pts = start[:, :, None, :] + t[:, None] * vec[:, :, None, :]
+        faces = np.broadcast_to(np.arange(facets.start, facets.stop)[:, None, None], pts.shape[:3])
+        flux = np.einsum("fkqi,fki->fkq", field(pts, faces), conormal)
+        moments[facets] = length[..., None] * np.einsum("fkq,mq->fkm", flux, weights)
+    return moments.reshape(len(corners), -1)
+
+
+def transformed_exact_flux(surface: SurfaceField, problem: ManufacturedProblem, mesh: TraceMesh):
+    """Facet-side evaluator of the pulled-back exact vector unknown."""
+
+    def evaluator(points, faces):
+        frames = frame_at(surface, points, mesh.face_normals[np.asarray(faces)])
+        return piola_from_surface(frames, problem.p(frames.closest))
+
+    return evaluator
+
+
+def injected_exact_fields(
+    mesh: TraceMesh, surface: SurfaceField, space: MixedSpace, problem: ManufacturedProblem
+) -> SolutionFields:
+    """Best-approximation stand-in for a solve: projected scalar, interpolated vector.
+
+    Each edge moment is taken on the facet running along the edge direction
+    and shared with the facet across the edge.
+    """
+    u_proj = project_l2(mesh, lambda x, f: problem.u(closest_point(surface, x)))
+    dofs = edge_dofs(mesh, space)
+    moments = interpolate_hdiv(mesh.corner_points(), space, transformed_exact_flux(surface, problem, mesh))
+    p_local = local_vector_coefficients(dofs, global_vector_coefficients(dofs, moments))
+    return SolutionFields(p_local=p_local, u=u_proj)
+
+
+def conformity_defect(dofs: EdgeDofs, p_local: np.ndarray) -> float:
+    """Largest disagreement of shared edge moments read from the two sides."""
+    return float(np.abs(p_local - local_vector_coefficients(dofs, global_vector_coefficients(dofs, p_local))).max())

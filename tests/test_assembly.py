@@ -12,7 +12,6 @@ from quasitrace.assembly import (
     build_rhs,
     condense_and_assemble,
     conforming_matrices,
-    conformity_defect,
     solve_hybrid,
     solve_saddle_point,
 )
@@ -36,6 +35,7 @@ from conftest import (
     tet_boundary_mesh,
     zero_rhs,
 )
+from oracle import closest_point, conformity_defect, to_reference
 from test_elements import boundary_flux
 
 
@@ -55,7 +55,7 @@ class TestRhs:
         x = maps.to_physical(triangle_rule(ASSEMBLY_DEGREE)[0])
         faces = np.broadcast_to(np.arange(mesh.n_triangles)[:, None], x.shape[:2])
         frames = frame_at(sphere, x, mesh.face_normals[faces])
-        direct = area_ratio(frames) * problem.f(sphere.closest_point(x)) - rhs.mean_correction
+        direct = area_ratio(frames) * problem.f(closest_point(sphere, x)) - rhs.mean_correction
         assert np.array_equal(rhs.values, direct)
 
     def test_load_is_mean_free(self, sphere, problem, sphere_meshes):
@@ -106,7 +106,7 @@ class TestLocalBlocks:
                     coeffs[k] = 1.0
 
                     def basis_field(pts):
-                        ref = amap.to_reference(pts[None])[0]
+                        ref = to_reference(amap, pts[None])[0]
                         vals = np.einsum("kqd,k->qd", space.basis(ref), coeffs)
                         return amap.push_vector(vals[None])[0]
 
@@ -162,7 +162,6 @@ class TestTetBoundarySystem:
         fields = solve_hybrid(condense_and_assemble(mesh, mixed_space("rt0"), zero_rhs(mesh)))
         assert np.abs(fields.u).max() < 1e-13
         assert np.abs(fields.p_local).max() < 1e-13
-        assert np.abs(fields.multipliers).max() < 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -191,10 +190,10 @@ class TestSolvers:
 
     @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
     def test_mean_zero_scalar(self, kind, sphere_solves):
-        _, out = sphere_solves
+        mesh, out = sphere_solves
         _, hybrid, saddle, _ = out[kind]
-        assert abs(hybrid.mean_u) < 1e-12
-        assert abs(saddle.mean_u) < 1e-12
+        assert abs((mesh.areas() * hybrid.u).sum()) < 1e-12
+        assert abs((mesh.areas() * saddle.u).sum()) < 1e-12
 
     @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
     def test_discrete_conservation(self, kind, sphere_solves):

@@ -1,7 +1,8 @@
 """Package structure: modules share only public names, one module numbers
 and signs the vector edge moments, the geometry kernels stay in closed
 form, the facet rule is mapped onto physical points one facet block at a
-time, and sparse factors are made and applied in fixed places."""
+time, sparse factors are made and applied in fixed places, and every public
+name has a caller in the pipeline or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -84,9 +85,9 @@ def test_check_sees_a_dense_solver_call(tmp_path):
     assert dense_solver_calls(source) == ["mod.py:4", "mod.py:5", "mod.py:6", "mod.py:7"]
 
 
-# The only functions that map a facet rule onto physical points, both one
-# facet block at a time.
-POINT_MAPPERS = ("frame_blocks", "project_l2")
+# The only function that maps a facet rule onto physical points, one facet
+# block at a time.
+POINT_MAPPERS = ("frame_blocks",)
 
 
 def facet_point_reads(path: Path) -> list[str]:
@@ -114,13 +115,13 @@ def test_no_whole_mesh_facet_points():
 def test_check_sees_a_facet_point_read(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text(
-        "def frame_blocks(surface, quad):\n"
-        "    return quad.maps[facets].to_physical(quad.ref_points)\n\n"
+        "def frame_blocks(surface, mesh, ref_points):\n"
+        "    return mesh.maps[facets].to_physical(ref_points)\n\n"
         "def mesh_stats(mesh, surface):\n"
-        "    quad = facet_quadrature(mesh, 4)\n"
-        "    x = quad.points\n"
-        "    y = quad.maps.to_physical(quad.ref_points)\n"
-        "    return frame_at(surface, x, quad.face_normals).point\n"
+        "    pts, wts = triangle_rule(4)\n"
+        "    x = mesh.points\n"
+        "    y = mesh.maps.to_physical(pts)\n"
+        "    return frame_at(surface, x, mesh.face_normals).point\n"
     )
     assert facet_point_reads(source) == ["mod.py:6", "mod.py:7"]
 
@@ -168,3 +169,64 @@ def test_check_sees_a_stray_factor_call(tmp_path):
         "    return lu.solve(b)\n"
     )
     assert factor_calls(source) == ["mod.py:9", "mod.py:10"]
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function and class and of their public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def uncalled_names(sources: list[Path], callers: list[Path]) -> list[str]:
+    """Public names defined in ``sources`` that no code in ``sources`` or ``callers`` refers to.
+
+    A reference is a name or an attribute spelled like the definition and
+    lying outside it; imports and ``__all__`` entries are not references.
+    """
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in [*sources, *callers]}
+    references: dict[str, list[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append(id(node))
+            elif isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append(id(node))
+    found = []
+    for path in sources:
+        for qualname, definition in public_definitions(trees[path]):
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(ref in inside for ref in references.get(definition.name, [])):
+                found.append(f"{path.name}: {qualname}")
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    """``src`` is the pipeline: each public function, class, method and property is used by it or by perfbench."""
+    assert uncalled_names(sorted(PACKAGE.glob("*.py")), sorted(PERFBENCH.glob("*.py"))) == []
+
+
+def test_check_sees_an_uncalled_name(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "__all__ = ['Map', 'frame_blocks', 'orphan']\n\n"
+        "class Map:\n"
+        "    def to_physical(self, x):\n"
+        "        return x\n\n"
+        "    def to_reference(self, x):\n"
+        "        return self.to_reference(x)\n\n"
+        "def frame_blocks(x):\n"
+        "    return Map().to_physical(x)\n\n"
+        "def orphan(x):\n"
+        "    return orphan(x)\n"
+    )
+    caller = tmp_path / "bench.py"
+    caller.write_text("from mod import frame_blocks, orphan\n\nframe_blocks(1)\n")
+    assert uncalled_names([source], [caller]) == ["mod.py: Map.to_reference", "mod.py: orphan"]
