@@ -11,7 +11,6 @@ from .geometry import (
     SurfaceField,
     TangentFrame,
     area_ratio,
-    consistency_matrix,
     frame_at,
     piola_from_surface,
 )
@@ -43,6 +42,7 @@ from .postprocess_errors import (
     ManufacturedProblem,
     compute_errors,
     eoc,
+    lift_exact,
     manufactured_sphere,
     postprocess_gradient,
     postprocess_neumann,

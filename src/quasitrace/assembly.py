@@ -97,7 +97,6 @@ class RhsField:
 
     values: np.ndarray      # (F, Q) mean-free load at the assembly-rule facet points
     mean_correction: float  # facet mean subtracted from the weighted lift
-    norm: float             # facet L2 norm of the weighted lift
 
 
 def build_rhs(f, mesh: TraceMesh, surface: SurfaceField) -> RhsField:
@@ -116,7 +115,7 @@ def build_rhs(f, mesh: TraceMesh, surface: SurfaceField) -> RhsField:
             "or the assembly rule too coarse for it",
             stacklevel=2,
         )
-    return RhsField(values=weighted - mean_correction, mean_correction=mean_correction, norm=norm_f)
+    return RhsField(values=weighted - mean_correction, mean_correction=mean_correction)
 
 
 @dataclass(frozen=True)

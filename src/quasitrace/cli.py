@@ -22,6 +22,7 @@ from .postprocess_errors import (
     ErrorReport,
     LevelRecord,
     compute_errors,
+    lift_exact,
     manufactured_sphere,
     postprocess_gradient,
     postprocess_neumann,
@@ -90,7 +91,12 @@ def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int)
         return mesh, LevelRecord(level=level, n=n, stats=stats, errors=None)
 
     rhs = build_rhs(problem.f, mesh, surface)
-    fields = solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs))
+    system = condense_and_assemble(mesh, space, rhs=rhs)
+    # Large meshes are lifted on a worker thread while this thread factors
+    # the system; compute_errors waits for the samples.
+    exact = lift_exact(mesh, surface, problem)
+    fields = solve_hybrid(system)
+    del system  # the local inverses are not needed past the solve
     u_star = u_star_alt = None
     if config.postprocess in ("neumann", "both"):
         u_star = postprocess_neumann(mesh, space, fields, rhs)
@@ -100,7 +106,7 @@ def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int)
             u_star = alt
         else:
             u_star_alt = alt
-    errors = compute_errors(mesh, surface, space, problem, fields, u_star=u_star, u_star_alt=u_star_alt)
+    errors = compute_errors(mesh, space, exact, fields, u_star=u_star, u_star_alt=u_star_alt)
     record = LevelRecord(
         level=level, n=n, stats=stats, errors=errors, rhs_mean_correction=rhs.mean_correction
     )

@@ -203,7 +203,8 @@ class AffineMap:
         inv[:, 0, 1] = -metric[:, 0, 1]
         inv[:, 1, 0] = -metric[:, 1, 0]
         inv /= (jac * jac)[:, None, None]
-        return cls(origin=verts[:, 0], A=a, jac=jac, metric=metric, metric_inv=inv)
+        # a copy, so the maps do not pin the (F, 3, 3) corner array
+        return cls(origin=verts[:, 0].copy(), A=a, jac=jac, metric=metric, metric_inv=inv)
 
     def __len__(self) -> int:
         return self.origin.shape[0]

@@ -42,15 +42,16 @@ __all__ = [
     "frame_blocks",
     "area_ratio",
     "piola_from_surface",
-    "consistency_matrix",
+    "consistency_gap",
 ]
 
 
 class SurfaceField:
     """Closed surface given through its signed distance function.
 
-    Subclasses implement the distance and its first two derivatives; the
-    closest-point map is ``TangentFrame.closest``.
+    Subclasses implement the distance, its gradient and, for frames, the
+    distance with its first two derivatives in one pass; the closest-point
+    map is ``TangentFrame.closest``.
     """
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
@@ -60,12 +61,14 @@ class SurfaceField:
         """Unit normal field, valid throughout the tubular neighborhood."""
         raise NotImplementedError
 
-    def hessian(self, points: np.ndarray) -> np.ndarray:
-        """Distance Hessian, shape (..., 3, 3).
+    def derivatives(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distance (...,), unit normal (..., 3) and distance Hessian (..., 3, 3).
 
-        Contract: symmetric, with the normal in its kernel (H nu = 0, since
-        the gradient has unit length).  The closed-form resolvent and
-        consistency matrix of this module are exact only under it.
+        Each equals what ``signed_distance`` and ``gradient`` return at the
+        same points.  Contract on the Hessian: symmetric, with the normal in
+        its kernel (H nu = 0, since the gradient has unit length).  The
+        closed-form resolvent and consistency gap of this module are exact
+        only under it.
         """
         raise NotImplementedError
 
@@ -87,18 +90,18 @@ class Sphere(SurfaceField):
             raise ValueError("normal undefined at the sphere center")
         return points / r
 
-    def hessian(self, points):
+    def derivatives(self, points):
         points = np.asarray(points, dtype=float)
         r = np.linalg.norm(points, axis=-1)
         if np.any(r <= 0.0):
-            raise ValueError("curvature undefined at the sphere center")
+            raise ValueError("normal undefined at the sphere center")
         nu = points / r[..., None]
         # (I - nu nu^T) / r in place: 1 + (-a) rounds exactly like 1 - a.
-        out = nu[..., :, None] * nu[..., None, :]
-        np.negative(out, out=out)
-        np.einsum("...ii->...i", out)[...] += 1.0
-        out /= r[..., None, None]
-        return out
+        hess = nu[..., :, None] * nu[..., None, :]
+        np.negative(hess, out=hess)
+        np.einsum("...ii->...i", hess)[...] += 1.0
+        hess /= r[..., None, None]
+        return r - self.radius, nu, hess
 
 
 @dataclass(frozen=True)
@@ -124,11 +127,6 @@ class TangentFrame:
         return self.point - self.dist[..., None] * self.normal
 
     @cached_property
-    def tangent_projector(self) -> np.ndarray:
-        eye = np.broadcast_to(np.eye(3), self.normal.shape[:-1] + (3, 3))
-        return eye - self.normal[..., :, None] * self.normal[..., None, :]
-
-    @cached_property
     def transversality(self) -> np.ndarray:
         """Cosine between surface and facet normals."""
         return np.einsum("...i,...i->...", self.normal, self.face_normal)
@@ -143,8 +141,7 @@ def frame_at(surface: SurfaceField, points: np.ndarray, face_normal: np.ndarray)
     """
     points = np.asarray(points, dtype=float)
     face_normal = np.broadcast_to(np.asarray(face_normal, dtype=float), points.shape)
-    dist = surface.signed_distance(points)
-    hess = surface.hessian(points)
+    dist, normal, hess = surface.derivatives(points)
     # With nu in the kernel of H, the two principal curvatures follow from
     # the trace identities, no eigensolve needed.
     t = np.einsum("...ii->...", hess)
@@ -156,7 +153,7 @@ def frame_at(surface: SurfaceField, points: np.ndarray, face_normal: np.ndarray)
     return TangentFrame(
         point=points,
         dist=dist,
-        normal=surface.gradient(points),
+        normal=normal,
         hessian=hess,
         face_normal=face_normal,
         trace=t,
@@ -166,7 +163,10 @@ def frame_at(surface: SurfaceField, points: np.ndarray, face_normal: np.ndarray)
 
 # Facets per block of frames.  At n = 96 (2-vCPU VM) blocks of 256-2048
 # facets ran within 10% of each other; 4096 and whole-mesh blocks were slower.
-FACET_BLOCK = 2048
+# 512 ran the three frame consumers ~10% faster than 2048 there, and keeps
+# the per-block temporaries of the exact-solution lift small while it runs
+# beside the factorization (rt0 study peak RSS 327 -> 322 MB).
+FACET_BLOCK = 512
 
 
 def facet_slices(count: int):
@@ -227,27 +227,62 @@ def piola_from_surface(frame: TangentFrame, p_surface: np.ndarray) -> np.ndarray
     return mu[..., None] * y
 
 
-def consistency_matrix(frame: TangentFrame) -> np.ndarray:
-    """Symmetric matrix B comparing exact and pulled-back tangential mass.
+def consistency_gap(frame: TangentFrame) -> np.ndarray:
+    """Frobenius norm |P - B| of the geometric-consistency defect, per point.
 
-    For tangent fields p, q the mismatch between the surface mass form and
-    the facet mass form of their pulled-back versions is the mass form of
-    (P - B) p against q, with P the tangent projector.  |P - B| shrinks at
-    second order in the mesh size; used for geometric-consistency
-    diagnostics only.
+    B is the symmetric matrix comparing exact and pulled-back tangential
+    mass: for tangent fields p, q the mismatch between the surface mass form
+    and the facet mass form of their pulled-back versions is the mass form
+    of (P - B) p against q, with P the tangent projector.  |P - B| shrinks at
+    second order in the mesh size; used for diagnostics only.
 
     By definition B = mu K^T K with K = S (I - d H)^-1 P and the oblique
-    projector S = I - nu nu_h^T / c, c = nu . nu_h.  Closed form: because
-    H P = H, the resolvent times P is
+    projector S = I - nu nu_h^T / c, c = nu . nu_h.  Because H P = H, the
+    resolvent times P is
 
         M = P + a H + b H^2,  a = d (1 - d t) / D,  b = d^2 / D,
 
-    symmetric with M nu = 0.  Then K = M - nu w^T with w = M nu_h / c, the
-    cross terms of K^T K carry M nu and vanish, and B = mu (M^2 + w w^T).
+    symmetric with M nu = 0.  Then K = M - nu w^T with w = M nu_h / c
+    tangent, the cross terms of K^T K vanish, and B = mu (M^2 + w w^T).  By
+    Cayley-Hamilton on the tangent plane, H^2 = t H - g P with g = k1 k2,
+    so M = alpha P + beta H with eigenvalues m_i = alpha + beta k_i on the
+    principal directions.  With x_i = 1 - mu m_i^2 the eigenvalues of
+    P - mu M^2,
+
+        |P - B|^2 = x_1^2 + x_2^2 - 2 mu (|w|^2 - mu |M w|^2) + mu^2 |w|^4,
+
+    where the middle term is w^T (P - mu M^2) w.  The curvatures enter only
+    through t and the split (k1 - k2)^2 = 2 |H - t P / 2|^2, never through
+    a square root, and the split is formed from the deviator entries, so it
+    vanishes with them; g = (t^2 - split) / 4.  With s = m_1 + m_2 and
+    e^2 = (m_1 - m_2)^2 = beta^2 split,
+
+        x_1 + x_2 = 2 - mu (s^2 + e^2) / 2,  (x_1 - x_2)^2 = mu^2 s^2 e^2,
+
+    and x_1^2 + x_2^2 is half the sum of their squares.  No O(1) terms
+    cancel down to the O(h^4) square, so the gap is accurate to round-off
+    even where it vanishes.
     """
     mu = area_ratio(frame)
     a, b = _resolvent_weights(frame)
-    h = frame.hessian
-    m = frame.tangent_projector + a[..., None, None] * h + b[..., None, None] * (h @ h)
-    w = np.einsum("...ij,...j->...i", m, frame.face_normal) / frame.transversality[..., None]
-    return mu[..., None, None] * (m @ m + w[..., :, None] * w[..., None, :])
+    t, nu = frame.trace, frame.normal
+    dev = frame.hessian + (0.5 * t)[..., None, None] * (nu[..., :, None] * nu[..., None, :])
+    np.einsum("...ii->...i", dev)[...] -= 0.5 * t[..., None]
+    split = 2.0 * np.einsum("...ij,...ij->...", dev, dev)
+    alpha = 1.0 - 0.25 * b * (t * t - split)
+    beta = a + b * t
+
+    def apply_m(v):
+        """M v for a tangent vector v."""
+        return alpha[..., None] * v + beta[..., None] * np.einsum("...ij,...j->...i", frame.hessian, v)
+
+    c = frame.transversality
+    w = apply_m(frame.face_normal - c[..., None] * nu) / c[..., None]
+    mw = apply_m(w)
+    s2 = (2.0 * alpha + beta * t) ** 2
+    e2 = beta * beta * split
+    x_sum = 2.0 - 0.5 * mu * (s2 + e2)
+    x_squares = 0.5 * (x_sum * x_sum + mu * mu * s2 * e2)
+    ww = np.einsum("...i,...i->...", w, w)
+    mixed = ww - mu * np.einsum("...i,...i->...", mw, mw)
+    return np.sqrt(np.maximum(x_squares - 2.0 * mu * mixed + mu * mu * ww * ww, 0.0))

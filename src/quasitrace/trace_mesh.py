@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .elements import ASSEMBLY_DEGREE, AffineMap, triangle_rule
-from .geometry import SurfaceField, area_ratio, consistency_matrix, frame_blocks
+from .geometry import SurfaceField, area_ratio, consistency_gap, frame_blocks
 
 __all__ = [
     "BulkMesh",
@@ -446,8 +446,7 @@ def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
     mu, gap_norm, dist, cos_q = (np.empty((mesh.n_triangles, len(wts))) for _ in range(4))
     for facets, frames in frame_blocks(surface, mesh, pts):
         mu[facets] = area_ratio(frames)
-        bgap = frames.tangent_projector - consistency_matrix(frames)
-        gap_norm[facets] = np.sqrt(np.einsum("...ij,...ij->...", bgap, bgap))
+        gap_norm[facets] = consistency_gap(frames)
         dist[facets] = frames.dist
         cos_q[facets] = frames.transversality
 

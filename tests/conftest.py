@@ -56,7 +56,7 @@ def tet_boundary_mesh() -> TraceMesh:
 def zero_rhs(mesh: TraceMesh) -> RhsField:
     """An all-zero load sampled on the assembly rule of ``mesh``."""
     n_points = len(triangle_rule(ASSEMBLY_DEGREE)[1])
-    return RhsField(values=np.zeros((mesh.n_triangles, n_points)), mean_correction=0.0, norm=0.0)
+    return RhsField(values=np.zeros((mesh.n_triangles, n_points)), mean_correction=0.0)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -4,8 +4,9 @@ The canonical H(div) interpolant (edge moments of a tangential field), the
 L2 projection of the scalar onto facet constants and the inverse of the
 flux-preserving pull-back (Brezzi & Fortin, Mixed and Hybrid Finite Element
 Methods, 1991) back acceptance criteria 5, 7 and 8 and the unit tests.  So
-do the plain closest-point map, the facet tangent projector, the inverse
-facet map and the two-sided conformity defect of broken edge moments.
+do the plain closest-point map, the surface and facet tangent projectors,
+the consistency matrix as a 3x3 stack, the inverse facet map and the
+two-sided conformity defect of broken edge moments.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from quasitrace.elements import (
     local_vector_coefficients,
     triangle_rule,
 )
-from quasitrace.geometry import SurfaceField, TangentFrame, area_ratio, facet_slices, frame_at, piola_from_surface
+from quasitrace.geometry import (
+    SurfaceField,
+    TangentFrame,
+    _resolvent_weights,
+    area_ratio,
+    facet_slices,
+    frame_at,
+    piola_from_surface,
+)
 from quasitrace.postprocess_errors import ManufacturedProblem
 from quasitrace.trace_mesh import TraceMesh
 
@@ -39,9 +48,31 @@ def closest_point(surface: SurfaceField, points: np.ndarray) -> np.ndarray:
     return points - d[..., None] * surface.gradient(points)
 
 
+def tangent_projector(frame: TangentFrame) -> np.ndarray:
+    eye = np.broadcast_to(np.eye(3), frame.normal.shape[:-1] + (3, 3))
+    return eye - frame.normal[..., :, None] * frame.normal[..., None, :]
+
+
 def face_projector(frame: TangentFrame) -> np.ndarray:
     eye = np.broadcast_to(np.eye(3), frame.face_normal.shape[:-1] + (3, 3))
     return eye - frame.face_normal[..., :, None] * frame.face_normal[..., None, :]
+
+
+def consistency_matrix(frame: TangentFrame) -> np.ndarray:
+    """Symmetric matrix B comparing exact and pulled-back tangential mass.
+
+    B = mu K^T K with K = S (I - d H)^-1 P and the oblique projector
+    S = I - nu nu_h^T / c, c = nu . nu_h; because H P = H, the resolvent
+    times P is M = P + a H + b H^2 and B = mu (M^2 + w w^T) with
+    w = M nu_h / c.  ``geometry.consistency_gap`` gives |P - B| from
+    scalars and two matrix-vector products per point.
+    """
+    mu = area_ratio(frame)
+    a, b = _resolvent_weights(frame)
+    h = frame.hessian
+    m = tangent_projector(frame) + a[..., None, None] * h + b[..., None, None] * (h @ h)
+    w = np.einsum("...ij,...j->...i", m, frame.face_normal) / frame.transversality[..., None]
+    return mu[..., None, None] * (m @ m + w[..., :, None] * w[..., None, :])
 
 
 def to_reference(amap: AffineMap, x: np.ndarray) -> np.ndarray:
@@ -59,7 +90,7 @@ def piola_to_surface(frame: TangentFrame, p_face: np.ndarray) -> np.ndarray:
     point of ``frame.point``.
     """
     mu = area_ratio(frame)
-    mat = frame.tangent_projector - frame.dist[..., None, None] * frame.hessian
+    mat = tangent_projector(frame) - frame.dist[..., None, None] * frame.hessian
     out = np.einsum("...ij,...j->...i", mat, np.asarray(p_face, dtype=float))
     return out / mu[..., None]
 

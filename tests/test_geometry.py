@@ -17,16 +17,23 @@ from quasitrace.geometry import (
     Sphere,
     _resolvent_weights,
     area_ratio,
-    consistency_matrix,
+    consistency_gap,
     frame_at,
     frame_blocks,
     piola_from_surface,
 )
-from quasitrace.postprocess_errors import compute_errors, postprocess_gradient
+from quasitrace.postprocess_errors import compute_errors, lift_exact, postprocess_gradient
 from quasitrace.trace_mesh import mesh_stats
 
 from conftest import random_rotation
-from oracle import closest_point, face_projector, injected_exact_fields, piola_to_surface
+from oracle import (
+    closest_point,
+    consistency_matrix,
+    face_projector,
+    injected_exact_fields,
+    piola_to_surface,
+    tangent_projector,
+)
 
 
 def random_tube_points(rng, count):
@@ -57,7 +64,7 @@ class TestSphereClosedForms:
         assert np.allclose(surface.gradient(x), x / r[:, None], atol=1e-14)
         nu = x / r[:, None]
         expected_h = (np.eye(3) - nu[:, :, None] * nu[:, None, :]) / r[:, None, None]
-        assert np.allclose(surface.hessian(x), expected_h, atol=1e-14)
+        assert np.allclose(surface.derivatives(x)[2], expected_h, atol=1e-14)
 
     def test_gradient_is_unit(self):
         rng = np.random.default_rng(8)
@@ -69,7 +76,7 @@ class TestSphereClosedForms:
         rng = np.random.default_rng(9)
         surface = Sphere(1.0)
         x = random_tube_points(rng, 200)
-        hn = np.einsum("nij,nj->ni", surface.hessian(x), surface.gradient(x))
+        hn = np.einsum("nij,nj->ni", surface.derivatives(x)[2], surface.gradient(x))
         assert np.abs(hn).max() < 1e-13
 
     def test_hessian_annihilates_normal_on_a_trace_mesh(self, sphere, sphere_meshes):
@@ -89,7 +96,27 @@ class TestSphereClosedForms:
             e = np.zeros(3)
             e[j] = step
             fd[:, :, j] = (surface.gradient(x + e) - surface.gradient(x - e)) / (2 * step)
-        assert np.abs(fd - surface.hessian(x)).max() < 1e-6
+        assert np.abs(fd - surface.derivatives(x)[2]).max() < 1e-6
+
+    def test_derivatives_equal_the_separate_queries(self):
+        """One norm per frame: distance and normal are bitwise those of the separate calls."""
+        rng = np.random.default_rng(22)
+        surface = Sphere(1.3)
+        x = random_tube_points(rng, 300).reshape(10, 30, 3) * 1.3
+        dist, normal, hess = surface.derivatives(x)
+        assert np.array_equal(dist, surface.signed_distance(x))
+        assert np.array_equal(normal, surface.gradient(x))
+        r = np.linalg.norm(x, axis=-1)
+        nu = x / r[..., None]
+        separate = (np.eye(3) - nu[..., :, None] * nu[..., None, :]) / r[..., None, None]
+        assert np.array_equal(hess, separate)
+        fr = frame_at(surface, x, normal)
+        assert np.array_equal(fr.dist, dist) and np.array_equal(fr.normal, normal)
+        assert np.array_equal(fr.hessian, hess)
+
+    def test_derivatives_reject_the_center(self):
+        with pytest.raises(ValueError, match="center"):
+            Sphere(1.0).derivatives(np.zeros((2, 3)))
 
     def test_closest_point(self):
         rng = np.random.default_rng(11)
@@ -105,7 +132,7 @@ class TestFrames:
     def test_projectors_idempotent(self, sphere):
         rng = np.random.default_rng(12)
         fr = random_frames(rng, sphere, 100)
-        for proj in (fr.tangent_projector, face_projector(fr)):
+        for proj in (tangent_projector(fr), face_projector(fr)):
             assert np.abs(proj @ proj - proj).max() < 1e-14
 
     def test_tube_guard(self, sphere):
@@ -216,14 +243,14 @@ class TestPiolaMaps:
         rng = np.random.default_rng(15)
         fr = random_frames(rng, sphere, 1000)
         p = rng.normal(size=(1000, 3))
-        p = np.einsum("nij,nj->ni", fr.tangent_projector, p)
+        p = np.einsum("nij,nj->ni", tangent_projector(fr), p)
         back = piola_to_surface(fr, piola_from_surface(fr, p))
         assert np.abs(back - p).max() < 1e-12
 
     def test_tangency_preservation(self, sphere):
         rng = np.random.default_rng(16)
         fr = random_frames(rng, sphere, 1000)
-        p_surf = np.einsum("nij,nj->ni", fr.tangent_projector, rng.normal(size=(1000, 3)))
+        p_surf = np.einsum("nij,nj->ni", tangent_projector(fr), rng.normal(size=(1000, 3)))
         pulled = piola_from_surface(fr, p_surf)
         assert np.abs(np.einsum("ni,ni->n", pulled, fr.face_normal)).max() < 1e-12
         p_face = np.einsum("nij,nj->ni", face_projector(fr), rng.normal(size=(1000, 3)))
@@ -286,16 +313,45 @@ class TestPiolaMaps:
             assert div_fd == pytest.approx(expected, abs=1e-4)
 
 
-class TestConsistencyMatrix:
+class TestConsistencyGap:
+    """The closed-form gap against |P - B| of the 3x3 consistency matrix in tests/oracle.py.
+
+    Each eigenvalue 1 - mu m_i^2 of P - mu M^2 is formed before it is
+    squared, and the curvature split comes from the deviator of H, so the
+    closed form carries no cancellation of O(1) terms: it matches the
+    matrix form to a few units of round-off in absolute terms, also where
+    the gap itself vanishes.
+    """
+
     def test_reduces_to_projector(self, sphere):
         fr = frame_at(sphere, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
-        assert np.allclose(consistency_matrix(fr), fr.tangent_projector, atol=1e-14)
+        assert np.allclose(consistency_matrix(fr), tangent_projector(fr), atol=1e-14)
+        assert consistency_gap(fr) == 0.0
 
     def test_symmetry(self, sphere):
         rng = np.random.default_rng(18)
         fr = random_frames(rng, sphere, 300)
         b = consistency_matrix(fr)
         assert np.abs(b - np.swapaxes(b, -1, -2)).max() < 1e-12
+
+    @staticmethod
+    def oracle_gap(fr):
+        bgap = tangent_projector(fr) - consistency_matrix(fr)
+        return np.sqrt(np.einsum("...ij,...ij->...", bgap, bgap))
+
+    def test_matches_the_matrix_form_on_random_frames(self, sphere):
+        rng = np.random.default_rng(23)
+        fr = random_frames(rng, sphere, 2000)
+        want = self.oracle_gap(fr)
+        assert np.abs(consistency_gap(fr) - want).max() <= 1e-14 * (1.0 + want.max())
+
+    def test_matches_the_matrix_form_on_trace_meshes(self, sphere, sphere_meshes):
+        pts = triangle_rule(ASSEMBLY_DEGREE)[0]
+        for n in (8, 16, 32):
+            worst = 0.0
+            for _, fr in frame_blocks(sphere, sphere_meshes[n], pts):
+                worst = max(worst, float(np.abs(consistency_gap(fr) - self.oracle_gap(fr)).max()))
+            assert worst <= 1e-14, n
 
     def test_gap_scales_with_mesh(self, sphere, sphere_meshes):
         from quasitrace.trace_mesh import mesh_stats
@@ -350,17 +406,19 @@ class TestClosedFormOracles:
 
         # the resolvent is exact on every vector, tangent or not; the floor
         # covers inputs whose pull-back cancels to nearly zero
-        for p in (np.asarray(vector), fr.tangent_projector @ vector):
+        for p in (np.asarray(vector), tangent_projector(fr) @ vector):
             y = np.linalg.solve(a_mat, p)
             want = mu * (y - fr.normal * np.dot(fr.face_normal, y) / cosang)
             got = piola_from_surface(fr, p)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want) + 1e-14 * np.linalg.norm(p)
 
         skew = eye - np.outer(fr.normal, fr.face_normal) / cosang
-        half = skew @ np.linalg.inv(a_mat) @ fr.tangent_projector
+        half = skew @ np.linalg.inv(a_mat) @ tangent_projector(fr)
         want_b = mu * half.T @ half
         got_b = consistency_matrix(fr)
         assert np.linalg.norm(got_b - want_b) <= 1e-13 * np.linalg.norm(want_b)
+        want_gap = np.linalg.norm(tangent_projector(fr) - want_b)
+        assert abs(float(consistency_gap(fr)) - want_gap) <= 1e-13 * max(1.0, np.linalg.norm(want_b))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -393,7 +451,7 @@ class TestFacetBlocks:
             return (
                 mesh_stats(mesh, sphere),
                 build_rhs(problem.f, mesh, sphere).values.tobytes(),
-                compute_errors(mesh, sphere, space, problem, fields, u_star=u_star),
+                compute_errors(mesh, space, lift_exact(mesh, sphere, problem), fields, u_star=u_star),
                 injected.p_local.tobytes(),
                 injected.u.tobytes(),
             )

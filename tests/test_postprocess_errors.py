@@ -1,5 +1,8 @@
 """Manufactured data, local postprocessing, and error norm machinery."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ import quasitrace.postprocess_errors as postprocess_errors
 from quasitrace.assembly import SolutionFields, build_rhs, condense_and_assemble, solve_hybrid
 from quasitrace.elements import AffineMap, mixed_space, triangle_rule
 from quasitrace.postprocess_errors import (
+    ManufacturedProblem,
     compute_errors,
     eoc,
+    lift_exact,
     manufactured_sphere,
     postprocess_gradient,
     postprocess_neumann,
@@ -116,7 +121,9 @@ class TestPostprocessing:
             fields = solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs))
             star_n = postprocess_neumann(mesh, space, fields, rhs)
             star_g = postprocess_gradient(mesh, space, fields)
-            errs = compute_errors(mesh, sphere, space, problem, fields, u_star=star_n, u_star_alt=star_g)
+            errs = compute_errors(
+                mesh, space, lift_exact(mesh, sphere, problem), fields, u_star=star_n, u_star_alt=star_g
+            )
             assert 0.5 <= errs.err_post / errs.err_post_alt <= 2.0
 
 
@@ -125,12 +132,10 @@ class TestErrorNorms:
         mesh = sphere_meshes[8]
         space = mixed_space("rt0")
         fields = injected_exact_fields(mesh, sphere, space, problem)
-        errs = compute_errors(mesh, sphere, space, problem, fields)
+        errs = compute_errors(mesh, space, lift_exact(mesh, sphere, problem), fields)
         assert errs.err_eu < 1e-12
 
     def test_zero_solution_of_zero_problem(self, sphere, sphere_meshes):
-        from quasitrace.postprocess_errors import ManufacturedProblem
-
         mesh = sphere_meshes[8]
         space = mixed_space("rt0")
         zero_problem = ManufacturedProblem(
@@ -141,7 +146,7 @@ class TestErrorNorms:
         )
         fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
         star = postprocess_gradient(mesh, space, fields)
-        errs = compute_errors(mesh, sphere, space, zero_problem, fields, u_star=star)
+        errs = compute_errors(mesh, space, lift_exact(mesh, sphere, zero_problem), fields, u_star=star)
         assert errs.err_p == 0.0 and errs.err_u == 0.0 and errs.err_eu == 0.0 and errs.err_post == 0.0
 
     def test_quadrature_refinement_stability(self, monkeypatch, sphere, problem, sphere_meshes):
@@ -152,9 +157,9 @@ class TestErrorNorms:
         fields = solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs))
         star = postprocess_neumann(mesh, space, fields, rhs)
         assert postprocess_errors.ERROR_DEGREE == 6
-        e6 = compute_errors(mesh, sphere, space, problem, fields, u_star=star)
+        e6 = compute_errors(mesh, space, lift_exact(mesh, sphere, problem), fields, u_star=star)
         monkeypatch.setattr(postprocess_errors, "ERROR_DEGREE", 8)
-        e8 = compute_errors(mesh, sphere, space, problem, fields, u_star=star)
+        e8 = compute_errors(mesh, space, lift_exact(mesh, sphere, problem), fields, u_star=star)
         for name in ("err_p", "err_u", "err_eu", "err_post"):
             assert abs(getattr(e6, name) / getattr(e8, name) - 1.0) < 1e-3
 
@@ -189,6 +194,72 @@ class TestErrorNorms:
             gaps.append(abs(err_pulled - err_naive) / err_pulled)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[1] / gaps[2] >= 1.5
+
+
+class TestExactLift:
+    """The exact solution is sampled once per level, inline or on the worker thread."""
+
+    @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+    def test_worker_and_inline_lifts_agree_bitwise(self, monkeypatch, kind, sphere, problem, sphere_meshes):
+        """A lift beside the factorization, with thread switches forced often, matches the inline lift."""
+        mesh = sphere_meshes[16]
+        space = mixed_space(kind)
+        rhs = build_rhs(problem.f, mesh, sphere)
+        system = condense_and_assemble(mesh, space, rhs=rhs)
+        norms, samples = [], []
+        interval = sys.getswitchinterval()
+        for threshold, on_worker in ((0, True), (10**9, False)):
+            monkeypatch.setattr(postprocess_errors, "LIFT_THREAD_MIN_FACETS", threshold)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sys.setswitchinterval(1e-5)
+                try:
+                    exact = lift_exact(mesh, sphere, problem)
+                    fields = solve_hybrid(system)
+                    if on_worker:
+                        exact.pending.result(timeout=120)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert (exact.pending is not None) == on_worker
+                star = postprocess_neumann(mesh, space, fields, rhs)
+                alt = postprocess_gradient(mesh, space, fields)
+                norms.append(compute_errors(mesh, space, exact, fields, u_star=star, u_star_alt=alt))
+            assert caught == []
+            samples.append((exact.p.tobytes(), exact.u.tobytes()))
+        assert norms[0] == norms[1]
+        assert samples[0] == samples[1]
+
+    def test_worker_error_comes_out_of_compute_errors(self, monkeypatch, sphere, problem, sphere_meshes):
+        class LiftFailure(RuntimeError):
+            pass
+
+        def broken_u(x):
+            raise LiftFailure("scalar undefined at these points")
+
+        mesh = sphere_meshes[8]
+        broken = ManufacturedProblem(u=broken_u, grad_u=problem.grad_u, p=problem.p, f=problem.f)
+        monkeypatch.setattr(postprocess_errors, "LIFT_THREAD_MIN_FACETS", 0)
+        exact = lift_exact(mesh, sphere, broken)
+        assert exact.pending is not None
+        assert isinstance(exact.pending.exception(timeout=120), LiftFailure)
+        fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
+        with pytest.raises(LiftFailure, match="^scalar undefined at these points$"):
+            compute_errors(mesh, mixed_space("rt0"), exact, fields)
+
+    def test_samples_of_another_rule_are_rejected(self, monkeypatch, sphere, problem, sphere_meshes):
+        mesh = sphere_meshes[8]
+        space = mixed_space("rt0")
+        fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
+        exact = lift_exact(mesh, sphere, problem)
+        monkeypatch.setattr(postprocess_errors, "ERROR_DEGREE", 8)
+        with pytest.raises(ValueError, match="degree 6"):
+            compute_errors(mesh, space, exact, fields)
+
+    def test_samples_of_another_mesh_are_rejected(self, sphere, problem, sphere_meshes):
+        mesh = sphere_meshes[16]
+        fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
+        with pytest.raises(ValueError, match="facets"):
+            compute_errors(mesh, mixed_space("rt0"), lift_exact(sphere_meshes[8], sphere, problem), fields)
 
 
 class TestEoc:

@@ -285,6 +285,12 @@ class TestSphereMesh:
         for mesh in sphere_meshes.values():
             assert mesh.areas().min() > 0.0
 
+    def test_maps_own_their_origins(self, sphere_meshes):
+        """The maps keep the first corners, not a view pinning the (F, 3, 3) corner array."""
+        mesh = sphere_meshes[8]
+        assert mesh.maps.origin.flags.owndata
+        assert np.array_equal(mesh.maps.origin, mesh.corner_points()[:, 0])
+
     def test_stats_decrease_under_refinement(self, sphere, sphere_meshes):
         stats = {n: mesh_stats(sphere_meshes[n], sphere) for n in (8, 16, 32)}
         assert stats[8].max_abs_dist / stats[16].max_abs_dist >= 3.5
