@@ -283,7 +283,7 @@ def main(argv=None) -> int:
             check_mesh_only=args.check_mesh_only,
         )
         result = run_study(config)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for rec in result.report.records:

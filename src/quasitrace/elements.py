@@ -97,24 +97,43 @@ def _edge_points(edge: int, t: np.ndarray) -> np.ndarray:
     return (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
 
 
+# Generating sets of the H(div) elements, one table c (G, 3, 2) per space:
+# generator g is the vector field c[g, 0] + c[g, 1] x + c[g, 2] y on the
+# reference triangle, so its divergence is c[g, 1, 0] + c[g, 2, 1].
+_GENERATOR_TABLES = {
+    # (1, 0), (0, 1), (x, y)
+    "rt0": np.array(
+        [[[1, 0], [0, 0], [0, 0]],
+         [[0, 1], [0, 0], [0, 0]],
+         [[0, 0], [1, 0], [0, 1]]], dtype=float
+    ),
+    # (1, 0), (x, 0), (y, 0), (0, 1), (0, x), (0, y)
+    "bdm1": np.array(
+        [[[1, 0], [0, 0], [0, 0]],
+         [[0, 0], [1, 0], [0, 0]],
+         [[0, 0], [0, 0], [1, 0]],
+         [[0, 1], [0, 0], [0, 0]],
+         [[0, 0], [0, 1], [0, 0]],
+         [[0, 0], [0, 0], [0, 1]]], dtype=float
+    ),
+}
+
+
 class MixedSpace:
     """The H(div) element of the mixed method, ``rt0`` or ``bdm1``.
 
     Scalars are facet constants and need no element of their own.  The
     basis is assembled by inverting the matrix of degree-of-freedom
-    functionals applied to a generating set, so the moments of the basis are
-    the identity by construction (checked in the test suite).
+    functionals applied to the space's generating set, so the moments of the
+    basis are the identity by construction (checked in the test suite).
     """
 
     def __init__(self, name: str):
-        if name == "rt0":
-            self.edge_dofs = 1
-        elif name == "bdm1":
-            self.edge_dofs = 2
-        else:
+        if name not in _GENERATOR_TABLES:
             raise ValueError(f"unknown vector element '{name}'")
-        self.name = name
-        self.n_dofs = 3 * self.edge_dofs
+        self._table = _GENERATOR_TABLES[name]                 # (G, 3, 2)
+        self.n_dofs = len(self._table)
+        self.edge_dofs = self.n_dofs // 3
         dof = np.empty((self.n_dofs, self.n_dofs))
         t, w = gauss_01(6)
         for e in range(3):
@@ -131,26 +150,10 @@ class MixedSpace:
         self._coeff = np.linalg.inv(dof)                      # (G, K)
 
     def _generators(self, pts: np.ndarray) -> np.ndarray:
-        q = pts.shape[0]
-        if self.name == "rt0":
-            gen = np.zeros((3, q, 2))
-            gen[0, :, 0] = 1.0
-            gen[1, :, 1] = 1.0
-            gen[2] = pts
-        else:
-            gen = np.zeros((6, q, 2))
-            gen[0, :, 0] = 1.0
-            gen[1, :, 0] = pts[:, 0]
-            gen[2, :, 0] = pts[:, 1]
-            gen[3, :, 1] = 1.0
-            gen[4, :, 1] = pts[:, 0]
-            gen[5, :, 1] = pts[:, 1]
-        return gen
-
-    def _generator_divs(self) -> np.ndarray:
-        if self.name == "rt0":
-            return np.array([0.0, 0.0, 2.0])
-        return np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+        """Generator values (G, Q, 2) at reference points (Q, 2)."""
+        x, y = pts[:, 0, None], pts[:, 1, None]
+        c = self._table[:, :, None, :]
+        return c[:, 0] + c[:, 1] * x + c[:, 2] * y
 
     def basis(self, pts: np.ndarray) -> np.ndarray:
         """Basis values at reference points, shape (n_dofs, Q, 2)."""
@@ -159,7 +162,7 @@ class MixedSpace:
 
     def divergence(self) -> np.ndarray:
         """Reference divergence of each basis function (constant), shape (n_dofs,)."""
-        return self._coeff.T @ self._generator_divs()
+        return self._coeff.T @ (self._table[:, 1, 0] + self._table[:, 2, 1])
 
 
 @lru_cache(maxsize=None)

@@ -49,26 +49,24 @@ __all__ = [
 class SurfaceField:
     """Closed surface given through its signed distance function.
 
-    Subclasses implement the distance, its gradient and, for frames, the
-    distance with its first two derivatives in one pass; the closest-point
-    map is ``TangentFrame.closest``.
+    Subclasses implement two methods: the distance alone, which the lattice
+    is cut by, and the distance with its first two derivatives in one pass,
+    which everything on the mesh reads (the normal included).  The
+    closest-point map is ``TangentFrame.closest``.
     """
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        """Unit normal field, valid throughout the tubular neighborhood."""
-        raise NotImplementedError
-
     def derivatives(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distance (...,), unit normal (..., 3) and distance Hessian (..., 3, 3).
 
-        Each equals what ``signed_distance`` and ``gradient`` return at the
-        same points.  Contract on the Hessian: symmetric, with the normal in
-        its kernel (H nu = 0, since the gradient has unit length).  The
-        closed-form resolvent and consistency gap of this module are exact
-        only under it.
+        The distance equals what ``signed_distance`` returns at the same
+        points, and the normal, its gradient, is valid throughout the
+        tubular neighborhood.  Contract on the Hessian: symmetric, with the
+        normal in its kernel (H nu = 0, since the gradient has unit length).
+        The closed-form resolvent and consistency gap of this module are
+        exact only under it.
         """
         raise NotImplementedError
 
@@ -82,13 +80,6 @@ class Sphere(SurfaceField):
     def signed_distance(self, points):
         points = np.asarray(points, dtype=float)
         return np.linalg.norm(points, axis=-1) - self.radius
-
-    def gradient(self, points):
-        points = np.asarray(points, dtype=float)
-        r = np.linalg.norm(points, axis=-1, keepdims=True)
-        if np.any(r <= 0.0):
-            raise ValueError("normal undefined at the sphere center")
-        return points / r
 
     def derivatives(self, points):
         points = np.asarray(points, dtype=float)

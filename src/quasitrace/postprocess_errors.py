@@ -68,12 +68,11 @@ _MEANFREE_VERTEX_VALUES = np.array([[-1.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0],
 class ManufacturedProblem:
     """Exact solution data on the continuous surface.
 
-    ``u`` and ``f`` take points on the surface; ``grad_u`` is the tangential
-    gradient and ``p`` its negative (the exact vector unknown).
+    ``u`` and ``f`` take points on the surface; ``p`` is the negative
+    tangential gradient of ``u`` (the exact vector unknown).
     """
 
     u: object
-    grad_u: object
     p: object
     f: object
 
@@ -91,22 +90,19 @@ def manufactured_sphere() -> ManufacturedProblem:
         x = np.asarray(x, dtype=float)
         return np.sin(x[..., 0]) + x[..., 1] + x[..., 2] ** 3
 
-    def grad_u(x):
+    def p(x):
         x = np.asarray(x, dtype=float)
         g = np.stack(
             [np.cos(x[..., 0]), np.ones(x.shape[:-1]), 3.0 * x[..., 2] ** 2], axis=-1
         )
-        return g - np.einsum("...i,...i->...", x, g)[..., None] * x
-
-    def p(x):
-        return -grad_u(x)
+        return -(g - np.einsum("...i,...i->...", x, g)[..., None] * x)
 
     def f(x):
         x = np.asarray(x, dtype=float)
         xx, yy, zz = x[..., 0], x[..., 1], x[..., 2]
         return (1.0 - xx**2) * np.sin(xx) + 2.0 * xx * np.cos(xx) + 2.0 * yy - 6.0 * zz + 12.0 * zz**3
 
-    return ManufacturedProblem(u=u, grad_u=grad_u, p=p, f=f)
+    return ManufacturedProblem(u=u, p=p, f=f)
 
 
 def _postprocess_common(rhs_meanfree: np.ndarray, u_mean: np.ndarray, maps: AffineMap) -> np.ndarray:

@@ -144,7 +144,6 @@ class RawTraceSurface:
     faces: np.ndarray       # (C, 4) cut points in cyclic order; -1 in column 3 for triangles
     parent_tet: np.ndarray  # (C,) background element of each polygon
     inward: np.ndarray      # (C,) True where that cyclic order faces the psi < 0 side
-    values: np.ndarray      # (V,) perturbed level values actually cut
 
 
 def extract_trace_surface(bulk: BulkMesh, psi) -> RawTraceSurface:
@@ -217,9 +216,7 @@ def extract_trace_surface(bulk: BulkMesh, psi) -> RawTraceSurface:
     top = corners[rows[:, 0], np.argmax(values[corners], axis=1)]
     inward = np.einsum("ci,ci->c", area, verts[top] - p[:, 0]) < 0.0
 
-    return RawTraceSurface(
-        vertices=points, faces=faces, parent_tet=cut_ids, inward=inward, values=values
-    )
+    return RawTraceSurface(vertices=points, faces=faces, parent_tet=cut_ids, inward=inward)
 
 
 def _max_interior_angles(p: np.ndarray) -> np.ndarray:
@@ -270,16 +267,14 @@ class TraceMesh:
     Triangles are stored counterclockwise with respect to the facet normals;
     for an extracted mesh these point to the psi > 0 side of each parent
     tetrahedron by construction.  Edges are stored with increasing vertex
-    indices; for each edge the first adjacent face is the one traversing it
-    in that direction (``face_edge_signs`` records the per-facet agreement,
-    one sign per local edge).  Treated as immutable by all consumers.
+    indices; ``face_edge_signs`` records, one sign per local edge, whether
+    the facet traverses its edge in that direction.  Treated as immutable
+    by all consumers.
     """
 
     vertices: np.ndarray           # (V, 3)
     triangles: np.ndarray          # (F, 3)
     edges: np.ndarray              # (E, 2), increasing vertex ids
-    edge_faces: np.ndarray         # (E, 2): [agreeing face, opposing face]
-    edge_local: np.ndarray         # (E, 2): local edge index within those faces
     face_edges: np.ndarray         # (F, 3): global edge id of each local edge
     face_edge_signs: np.ndarray    # (F, 3): +1 if local direction has increasing ids
     face_normals: np.ndarray       # (F, 3) unit normals, by the vertex order
@@ -381,8 +376,6 @@ class TraceMesh:
             vertices=vertices,
             triangles=triangles,
             edges=edges,
-            edge_faces=edge_faces,
-            edge_local=pairs % 3,
             face_edges=face_edges.reshape(-1, 3),
             face_edge_signs=np.where(agree, 1.0, -1.0).reshape(-1, 3),
             face_normals=cross / areas2[:, None],
@@ -397,7 +390,7 @@ def bisect_quads(raw: RawTraceSurface, surface: SurfaceField | None = None) -> T
     Polygons keep their order; a quadrilateral becomes two consecutive
     triangles (``split_quads``).  Polygons marked ``inward`` are reversed, so
     every normal points to the psi > 0 side.  With ``surface`` given, raises
-    ``ValueError`` if the normals point against ``surface.gradient`` on
+    ``ValueError`` if the normals point against the surface normal on
     balance, i.e. if the level function was positive inside.
     """
     is_quad = raw.faces[:, 3] >= 0
@@ -411,9 +404,8 @@ def bisect_quads(raw: RawTraceSurface, surface: SurfaceField | None = None) -> T
     tris[inward] = tris[inward][:, [0, 2, 1]]
     mesh = TraceMesh.from_arrays(raw.vertices, tris, parent_tet=np.repeat(raw.parent_tet, sizes))
     if surface is not None:
-        flux = np.einsum(
-            "f,fi,fi->", mesh.areas(), mesh.face_normals, surface.gradient(mesh.centroids())
-        )
+        normals = surface.derivatives(mesh.centroids())[1]
+        flux = np.einsum("f,fi,fi->", mesh.areas(), mesh.face_normals, normals)
         if flux < 0.0:
             raise ValueError(
                 "facet normals point against the surface gradient: "
@@ -427,8 +419,6 @@ class MeshStats:
     """Quality and geometric-consistency summary of a trace mesh."""
 
     h: float
-    n_vertices: int
-    n_edges: int
     n_triangles: int
     euler_characteristic: int
     max_interior_angle: float
@@ -450,14 +440,12 @@ def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
         dist[facets] = frames.dist
         cos_q[facets] = frames.transversality
 
-    nu_c = surface.gradient(mesh.centroids())
+    nu_c = surface.derivatives(mesh.centroids())[1]
     normal_gap = np.linalg.norm(nu_c - mesh.face_normals, axis=-1)
     cos_all = min(float(cos_q.min()), float(np.einsum("fi,fi->f", nu_c, mesh.face_normals).min()))
 
     return MeshStats(
         h=mesh.h,
-        n_vertices=mesh.n_vertices,
-        n_edges=mesh.n_edges,
         n_triangles=mesh.n_triangles,
         euler_characteristic=mesh.euler_characteristic,
         max_interior_angle=float(mesh.max_interior_angles().max()),

@@ -5,8 +5,9 @@ L2 projection of the scalar onto facet constants and the inverse of the
 flux-preserving pull-back (Brezzi & Fortin, Mixed and Hybrid Finite Element
 Methods, 1991) back acceptance criteria 5, 7 and 8 and the unit tests.  So
 do the plain closest-point map, the surface and facet tangent projectors,
-the consistency matrix as a 3x3 stack, the inverse facet map and the
-two-sided conformity defect of broken edge moments.
+the consistency matrix as a 3x3 stack, the inverse facet map, the
+two-sided conformity defect of broken edge moments, the facets on each side
+of a mesh edge and the shifted level values that extraction cuts.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from quasitrace.geometry import (
     piola_from_surface,
 )
 from quasitrace.postprocess_errors import ManufacturedProblem
-from quasitrace.trace_mesh import TraceMesh
+from quasitrace.trace_mesh import ZERO_VALUE_SHIFT, BulkMesh, TraceMesh
 
 _EDGE_START, _EDGE_END = np.array(REF_EDGES).T
 
@@ -45,7 +46,33 @@ _EDGE_START, _EDGE_END = np.array(REF_EDGES).T
 def closest_point(surface: SurfaceField, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     d = surface.signed_distance(points)
-    return points - d[..., None] * surface.gradient(points)
+    return points - d[..., None] * surface.derivatives(points)[1]
+
+
+def edge_incidence(mesh: TraceMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Facets [agreeing, opposing] on each edge of ``mesh`` and the edge's local index in them, (E, 2) each.
+
+    The sort of ``TraceMesh.from_arrays``: the edges come in the order of
+    ``mesh.edges``, and the agreeing facet traverses its edge with
+    increasing vertex ids.
+    """
+    triangles = mesh.triangles
+    u = triangles[:, [1, 2, 0]].ravel()
+    v = triangles[:, [2, 0, 1]].ravel()
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    agree = u < v
+    pairs = np.lexsort((~agree, hi, lo)).reshape(-1, 2)
+    return pairs // 3, pairs % 3
+
+
+def shifted_level_values(bulk: BulkMesh, psi) -> np.ndarray:
+    """Values of ``psi`` at the bulk vertices as extraction cuts them.
+
+    Values within ``ZERO_VALUE_SHIFT * h_bulk`` of zero are shifted positive.
+    """
+    values = np.asarray(psi(bulk.vertices), dtype=float)
+    tiny = ZERO_VALUE_SHIFT * bulk.h_bulk
+    return np.where(np.abs(values) < tiny, tiny, values)
 
 
 def tangent_projector(frame: TangentFrame) -> np.ndarray:

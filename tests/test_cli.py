@@ -99,6 +99,12 @@ class TestMain:
         assert main(["--n0", "2", "--levels", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unusable_out_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["--n0", "4", "--levels", "1", "--out", str(blocker / "sub")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_small_study_runs(self, tmp_path, capsys):
         code = main(["--n0", "4", "--levels", "1", "--out", str(tmp_path)])
         assert code == 0

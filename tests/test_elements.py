@@ -30,7 +30,7 @@ from quasitrace.elements import (
 )
 
 from conftest import interpolate_facet, random_needle, tet_boundary_mesh
-from oracle import closest_point, interpolate_hdiv, project_l2, to_reference
+from oracle import closest_point, edge_incidence, interpolate_hdiv, project_l2, to_reference
 
 
 def boundary_flux(verts, field, weight=None, n_gauss=8):
@@ -203,6 +203,7 @@ class TestInterpolation:
     def test_shared_edge_moments_agree_across_noncoplanar_facets(self):
         """Conormal continuity of the global basis on a genuinely folded mesh."""
         mesh = tet_boundary_mesh()
+        edge_faces = edge_incidence(mesh)[0]
         for kind in ("rt0", "bdm1"):
             space = mixed_space(kind)
             nd = space.edge_dofs
@@ -219,7 +220,7 @@ class TestInterpolation:
                     tang = (xj - xi) / length
                     fluxes, moments = [], []
                     for side in (0, 1):
-                        f = mesh.edge_faces[e, side]
+                        f = edge_faces[e, side]
                         amap_f = AffineMap.from_triangles(mesh.corner_points()[[f]])
                         ref = to_reference(amap_f, pts[None])[0]
                         vals = eval_vector(amap_f, space, local[[f]], ref)[0]

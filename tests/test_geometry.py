@@ -45,7 +45,7 @@ def random_tube_points(rng, count):
 
 def random_frames(rng, surface, count, min_cos=0.3):
     pts = random_tube_points(rng, count)
-    nu = surface.gradient(pts)
+    nu = surface.derivatives(pts)[1]
     tilt = rng.normal(size=(count, 3))
     tilt -= np.einsum("ni,ni->n", tilt, nu)[:, None] * nu
     tilt /= np.linalg.norm(tilt, axis=-1, keepdims=True)
@@ -61,7 +61,7 @@ class TestSphereClosedForms:
         x = random_tube_points(rng, 200)
         r = np.linalg.norm(x, axis=-1)
         assert np.allclose(surface.signed_distance(x), r - 1.0, atol=1e-14)
-        assert np.allclose(surface.gradient(x), x / r[:, None], atol=1e-14)
+        assert np.allclose(surface.derivatives(x)[1], x / r[:, None], atol=1e-14)
         nu = x / r[:, None]
         expected_h = (np.eye(3) - nu[:, :, None] * nu[:, None, :]) / r[:, None, None]
         assert np.allclose(surface.derivatives(x)[2], expected_h, atol=1e-14)
@@ -69,14 +69,15 @@ class TestSphereClosedForms:
     def test_gradient_is_unit(self):
         rng = np.random.default_rng(8)
         surface = Sphere(1.0)
-        g = surface.gradient(random_tube_points(rng, 500))
+        g = surface.derivatives(random_tube_points(rng, 500))[1]
         assert np.allclose(np.linalg.norm(g, axis=-1), 1.0, atol=1e-13)
 
     def test_hessian_annihilates_normal(self):
         rng = np.random.default_rng(9)
         surface = Sphere(1.0)
         x = random_tube_points(rng, 200)
-        hn = np.einsum("nij,nj->ni", surface.derivatives(x)[2], surface.gradient(x))
+        _, normal, hess = surface.derivatives(x)
+        hn = np.einsum("nij,nj->ni", hess, normal)
         assert np.abs(hn).max() < 1e-13
 
     def test_hessian_annihilates_normal_on_a_trace_mesh(self, sphere, sphere_meshes):
@@ -95,19 +96,19 @@ class TestSphereClosedForms:
         for j in range(3):
             e = np.zeros(3)
             e[j] = step
-            fd[:, :, j] = (surface.gradient(x + e) - surface.gradient(x - e)) / (2 * step)
+            fd[:, :, j] = (surface.derivatives(x + e)[1] - surface.derivatives(x - e)[1]) / (2 * step)
         assert np.abs(fd - surface.derivatives(x)[2]).max() < 1e-6
 
     def test_derivatives_equal_the_separate_queries(self):
-        """One norm per frame: distance and normal are bitwise those of the separate calls."""
+        """One norm per frame: the distance is bitwise ``signed_distance``, normal and Hessian the closed forms."""
         rng = np.random.default_rng(22)
         surface = Sphere(1.3)
         x = random_tube_points(rng, 300).reshape(10, 30, 3) * 1.3
         dist, normal, hess = surface.derivatives(x)
         assert np.array_equal(dist, surface.signed_distance(x))
-        assert np.array_equal(normal, surface.gradient(x))
         r = np.linalg.norm(x, axis=-1)
         nu = x / r[..., None]
+        assert np.array_equal(normal, nu)
         separate = (np.eye(3) - nu[..., :, None] * nu[..., None, :]) / r[..., None, None]
         assert np.array_equal(hess, separate)
         fr = frame_at(surface, x, normal)
@@ -124,7 +125,7 @@ class TestSphereClosedForms:
         x = random_tube_points(rng, 200)
         cp = closest_point(surface, x)
         assert np.abs(surface.signed_distance(cp)).max() < 1e-14
-        manual = x - surface.signed_distance(x)[:, None] * surface.gradient(x)
+        manual = x - surface.signed_distance(x)[:, None] * surface.derivatives(x)[1]
         assert np.array_equal(cp, manual)
 
 

@@ -1,8 +1,9 @@
 """Package structure: modules share only public names, one module numbers
 and signs the vector edge moments, the geometry kernels stay in closed
 form, the facet rule is mapped onto physical points one facet block at a
-time, sparse factors are made and applied in fixed places, and every public
-name has a caller in the pipeline or the benchmark."""
+time, sparse factors are made and applied in fixed places, every public
+name has a caller in the pipeline or the benchmark, and every dataclass
+field has a reader there."""
 
 import ast
 from pathlib import Path
@@ -230,3 +231,88 @@ def test_check_sees_an_uncalled_name(tmp_path):
     caller = tmp_path / "bench.py"
     caller.write_text("from mod import frame_blocks, orphan\n\nframe_blocks(1)\n")
     assert uncalled_names([source], [caller]) == ["mod.py: Map.to_reference", "mod.py: orphan"]
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or the same through ``dataclasses.``."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return (target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")) == "dataclass"
+
+
+def unread_fields(sources: list[Path], readers: list[Path]) -> list[str]:
+    """Annotated fields of the top-level dataclasses in ``sources`` that no code in ``sources`` or ``readers`` reads.
+
+    A read is an attribute in load context spelled like the field, inside
+    or outside its class; a constructor keyword or an assignment is a
+    write.  The scan is by name, not by type: a field that shares its name
+    with any attribute read elsewhere passes (``RawTraceSurface.values``
+    would pass on ``RhsField.values``, ``MeshStats.n_edges`` on
+    ``TraceMesh.n_edges``), so a pass is necessary, not sufficient.
+    """
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in [*sources, *readers]}
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for path in sources:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or not any(map(is_dataclass_decorator, cls.decorator_list)):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if item.target.id not in reads:
+                        found.append(f"{cls.name}.{item.target.id}")
+    return found
+
+
+# Fields stored for the planned machine-readable run sidecar (``study.json``
+# in ROADMAP.md), which will read them.  The list can only shrink: the guard
+# fails when a listed field gains a reader or is gone, and when any other
+# field has no reader.
+AWAITING_READER = (
+    "LevelRecord.rhs_mean_correction",
+    "MeshStats.max_normal_gap",
+    "MeshStats.min_transversality",
+    "MeshStats.max_area",
+    "MeshStats.max_area_mismatch",
+    "MeshStats.max_consistency_gap",
+)
+
+
+def test_every_dataclass_field_has_a_reader():
+    """No stored data that no consumer reads: each field is read by the pipeline or by perfbench."""
+    unread = unread_fields(sorted(PACKAGE.glob("*.py")), sorted(PERFBENCH.glob("*.py")))
+    assert [name for name in unread if name not in AWAITING_READER] == []
+    # a listed field that is read now, or no longer exists, leaves the list
+    assert [name for name in AWAITING_READER if name not in unread] == []
+
+
+def test_check_sees_an_unread_field(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Stats:\n"
+        "    h: float\n"
+        "    n_edges: int\n"
+        "    gap: float\n"
+        "    LIMIT = 3\n\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self.h\n\n"
+        "@dataclass\n"
+        "class Raw:\n"
+        "    values: object\n"
+        "    unused: object\n\n"
+        "class Plain:\n"
+        "    width: int\n\n"
+        "def stats(mesh):\n"
+        "    return Stats(h=mesh.h, n_edges=mesh.n_edges, gap=0.0)\n"
+    )
+    reader = tmp_path / "bench.py"
+    reader.write_text("s = stats(mesh)\ns.gap = 1.0\nprint(s.size, rhs.values)\n")
+    # n_edges passes on mesh.n_edges and values on rhs.values: the scan is by name
+    assert unread_fields([source], [reader]) == ["Stats.gap", "Raw.unused"]

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +22,10 @@ from quasitrace.trace_mesh import (
 )
 
 from conftest import DEFAULT_BOX, make_sphere_mesh, random_rotation, tet_boundary_mesh
+from oracle import edge_incidence, shifted_level_values
 
+# The arrays of an extracted mesh in digest order: the stored fields, and
+# the edge incidence the oracle derives from the triangles.
 MESH_FIELDS = (
     "vertices",
     "triangles",
@@ -36,16 +40,23 @@ MESH_FIELDS = (
 )
 
 
+def mesh_arrays(mesh: TraceMesh) -> dict[str, np.ndarray]:
+    """The arrays named in ``MESH_FIELDS``, by name."""
+    edge_faces, edge_local = edge_incidence(mesh)
+    derived = {"edge_faces": edge_faces, "edge_local": edge_local}
+    return {name: derived[name] if name in derived else getattr(mesh, name) for name in MESH_FIELDS}
+
+
 def mesh_digest(mesh: TraceMesh) -> str:
-    """SHA-256 over every stored array: name, dtype, shape and bytes.
+    """SHA-256 over every array of ``MESH_FIELDS``: name, dtype, shape and bytes.
 
     Float arrays are hashed with -0.0 read as +0.0: a normal computed as
     -(u x v) or as v x u has the same value, but an exact zero component
     can carry either sign.
     """
     sha = hashlib.sha256()
-    for name in MESH_FIELDS:
-        arr = np.ascontiguousarray(getattr(mesh, name))
+    for name, arr in mesh_arrays(mesh).items():
+        arr = np.ascontiguousarray(arr)
         if arr.dtype.kind == "f":
             arr = arr + 0.0
         sha.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
@@ -165,6 +176,7 @@ class TestExtraction:
         bulk = build_bulk_mesh(DEFAULT_BOX, 8)
         raw = extract_trace_surface(bulk, sphere.signed_distance)
         mesh = bisect_quads(raw, surface=sphere)
+        values = shifted_level_values(bulk, sphere.signed_distance)
         worst = 0.0
         for face in range(0, mesh.n_triangles, 7):
             tet = bulk.tet_corners(mesh.parent_tet[face])
@@ -172,7 +184,7 @@ class TestExtraction:
             system = np.vstack([corners.T, np.ones(4)])
             for vid in mesh.triangles[face]:
                 bary = np.linalg.solve(system, np.append(mesh.vertices[vid], 1.0))
-                worst = max(worst, abs(float(bary @ raw.values[tet])))
+                worst = max(worst, abs(float(bary @ values[tet])))
         assert worst < 1e-13
 
     def test_determinism(self, sphere):
@@ -213,7 +225,7 @@ class TestExtraction:
             bisect_quads(raw, surface=sphere)
         # without a surface to check against, the normals point inward
         mesh = bisect_quads(raw)
-        cos = np.einsum("fi,fi->f", sphere.gradient(mesh.centroids()), mesh.face_normals)
+        cos = np.einsum("fi,fi->f", sphere.derivatives(mesh.centroids())[1], mesh.face_normals)
         assert cos.max() < 0.0
 
 
@@ -265,7 +277,6 @@ class TestSphereMesh:
     def test_topology_and_conformity(self, sphere_meshes):
         mesh = sphere_meshes[16]
         assert mesh.euler_characteristic == 2
-        assert np.all(mesh.edge_faces >= 0)
         # each edge has one agreeing and one opposing facet
         assert np.array_equal(np.sort(mesh.face_edges.ravel()), np.repeat(np.arange(mesh.n_edges), 2))
         signs = np.zeros(mesh.n_edges)
@@ -274,7 +285,7 @@ class TestSphereMesh:
 
     def test_outward_orientation(self, sphere, sphere_meshes):
         mesh = sphere_meshes[16]
-        cos = np.einsum("fi,fi->f", sphere.gradient(mesh.centroids()), mesh.face_normals)
+        cos = np.einsum("fi,fi->f", sphere.derivatives(mesh.centroids())[1], mesh.face_normals)
         assert cos.min() > 0.0
 
     def test_max_angle_bounded(self, sphere_meshes):
@@ -324,6 +335,53 @@ class TestMeshBytes:
         assert mesh_digest(make_sphere_mesh(n, box)) == digest
 
 
+def stats_bits(stats) -> dict:
+    """Every ``MeshStats`` value, floats as ``float.hex``."""
+    bits = {}
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        bits[f.name] = value.hex() if isinstance(value, float) else value
+    return bits
+
+
+class TestMeshStatsBytes:
+    """Every mesh statistic is pinned bit for bit to a reference run."""
+
+    PINNED = {
+        "n8": {
+            "h": "0x1.8bb1dc490eec5p-1",
+            "n_triangles": 360,
+            "euler_characteristic": 2,
+            "max_interior_angle": "0x1.157fdf69c5780p+1",
+            "max_abs_dist": "0x1.5fff56c239f20p-4",
+            "max_normal_gap": "0x1.e7b93aac7f08ep-2",
+            "min_transversality": "0x1.c5e26445287ebp-1",
+            "max_area": "0x1.89bc9d8d4a533p-4",
+            "max_area_mismatch": "0x1.932c38a428ef8p-3",
+            "max_consistency_gap": "0x1.5e6e63b70ece8p-3",
+        },
+        "n16-a": {
+            "h": "0x1.a41b973051053p-2",
+            "n_triangles": 1776,
+            "euler_characteristic": 2,
+            "max_interior_angle": "0x1.35da81c1d2858p+1",
+            "max_abs_dist": "0x1.78ca5f8a99f20p-6",
+            "max_normal_gap": "0x1.f797bc6947694p-3",
+            "min_transversality": "0x1.f05b26caef0bep-1",
+            "max_area": "0x1.1e9bce5c0d866p-5",
+            "max_area_mismatch": "0x1.840564260bd00p-5",
+            "max_consistency_gap": "0x1.679a813320003p-5",
+        },
+    }
+
+    def test_zero_offset(self, sphere, sphere_meshes):
+        assert stats_bits(mesh_stats(sphere_meshes[8], sphere)) == self.PINNED["n8"]
+
+    def test_offset_lattice(self, sphere):
+        box = np.asarray(DEFAULT_BOX) + np.asarray((0.031, 0.117, 0.203))[:, None]
+        assert stats_bits(mesh_stats(make_sphere_mesh(16, box), sphere)) == self.PINNED["n16-a"]
+
+
 class TestExtractedMeshProperties:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -333,16 +391,18 @@ class TestExtractedMeshProperties:
     def test_lattice_offsets(self, sphere, n, frac):
         box = np.asarray(DEFAULT_BOX) + (np.asarray(frac) * 4.0 / n)[:, None]
         mesh = make_sphere_mesh(n, box)
-        first = mesh.face_edge_signs[mesh.edge_faces[:, 0], mesh.edge_local[:, 0]]
-        second = mesh.face_edge_signs[mesh.edge_faces[:, 1], mesh.edge_local[:, 1]]
+        edge_faces, edge_local = edge_incidence(mesh)
+        first = mesh.face_edge_signs[edge_faces[:, 0], edge_local[:, 0]]
+        second = mesh.face_edge_signs[edge_faces[:, 1], edge_local[:, 1]]
         assert np.all(first == 1.0) and np.all(second == -1.0)
         assert mesh.euler_characteristic == 2
-        cos = np.einsum("fi,fi->f", sphere.gradient(mesh.centroids()), mesh.face_normals)
+        cos = np.einsum("fi,fi->f", sphere.derivatives(mesh.centroids())[1], mesh.face_normals)
         assert cos.min() > 0.0
         assert mesh.max_interior_angles().max() <= np.pi - 0.05
         rebuilt = TraceMesh.from_arrays(mesh.vertices, mesh.triangles, parent_tet=mesh.parent_tet)
-        for name in MESH_FIELDS:
-            got, want = np.asarray(getattr(rebuilt, name)), np.asarray(getattr(mesh, name))
+        got_arrays = mesh_arrays(rebuilt)
+        for name, want in mesh_arrays(mesh).items():
+            got, want = np.asarray(got_arrays[name]), np.asarray(want)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), name
 
