@@ -62,6 +62,10 @@ class StudyConfig:
         off = np.asarray(self.seed_offset, dtype=float)
         if off.shape != (3,):
             raise ValueError("seed offset needs three components")
+        # NaN fails every margin comparison below, so it has to be caught here
+        for name, values in (("box", box), ("seed_offset", off)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         lo = box[:, 0] + off
         hi = box[:, 1] + off
         if np.any(lo > -1.5) or np.any(hi < 1.5):

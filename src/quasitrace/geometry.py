@@ -42,7 +42,6 @@ __all__ = [
     "frame_blocks",
     "area_ratio",
     "piola_from_surface",
-    "consistency_gap",
 ]
 
 
@@ -65,8 +64,7 @@ class SurfaceField:
         points, and the normal, its gradient, is valid throughout the
         tubular neighborhood.  Contract on the Hessian: symmetric, with the
         normal in its kernel (H nu = 0, since the gradient has unit length).
-        The closed-form resolvent and consistency gap of this module are
-        exact only under it.
+        The closed-form resolvent of this module is exact only under it.
         """
         raise NotImplementedError
 
@@ -119,8 +117,11 @@ class TangentFrame:
 
     @cached_property
     def transversality(self) -> np.ndarray:
-        """Cosine between surface and facet normals."""
-        return np.einsum("...i,...i->...", self.normal, self.face_normal)
+        """Cosine between surface and facet normals; ``ValueError`` where it is not positive."""
+        cosang = np.einsum("...i,...i->...", self.normal, self.face_normal)
+        if np.any(cosang <= 0.0):
+            raise ValueError("facet normal not transverse to the surface normal")
+        return cosang
 
 
 def frame_at(surface: SurfaceField, points: np.ndarray, face_normal: np.ndarray) -> TangentFrame:
@@ -186,12 +187,10 @@ def area_ratio(frame: TangentFrame) -> np.ndarray:
 
     Equals (nu . nu_h)(1 - d k1)(1 - d k2) with the principal curvatures
     taken at the evaluation point; the curvature product is the frame's
-    ``det_tangent``, which avoids an eigensolve per point.
+    ``det_tangent``, which avoids an eigensolve per point.  Raises
+    ``ValueError`` where the facet is not transverse to the surface.
     """
-    cosang = frame.transversality
-    if np.any(cosang <= 0.0):
-        raise ValueError("facet normal not transverse to the surface normal")
-    return cosang * frame.det_tangent
+    return frame.transversality * frame.det_tangent
 
 
 def _resolvent_weights(frame: TangentFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -216,64 +215,3 @@ def piola_from_surface(frame: TangentFrame, p_surface: np.ndarray) -> np.ndarray
     y = p_surface + a[..., None] * hp + b[..., None] * hhp
     y = y - frame.normal * (np.einsum("...i,...i->...", frame.face_normal, y) / cosang)[..., None]
     return mu[..., None] * y
-
-
-def consistency_gap(frame: TangentFrame) -> np.ndarray:
-    """Frobenius norm |P - B| of the geometric-consistency defect, per point.
-
-    B is the symmetric matrix comparing exact and pulled-back tangential
-    mass: for tangent fields p, q the mismatch between the surface mass form
-    and the facet mass form of their pulled-back versions is the mass form
-    of (P - B) p against q, with P the tangent projector.  |P - B| shrinks at
-    second order in the mesh size; used for diagnostics only.
-
-    By definition B = mu K^T K with K = S (I - d H)^-1 P and the oblique
-    projector S = I - nu nu_h^T / c, c = nu . nu_h.  Because H P = H, the
-    resolvent times P is
-
-        M = P + a H + b H^2,  a = d (1 - d t) / D,  b = d^2 / D,
-
-    symmetric with M nu = 0.  Then K = M - nu w^T with w = M nu_h / c
-    tangent, the cross terms of K^T K vanish, and B = mu (M^2 + w w^T).  By
-    Cayley-Hamilton on the tangent plane, H^2 = t H - g P with g = k1 k2,
-    so M = alpha P + beta H with eigenvalues m_i = alpha + beta k_i on the
-    principal directions.  With x_i = 1 - mu m_i^2 the eigenvalues of
-    P - mu M^2,
-
-        |P - B|^2 = x_1^2 + x_2^2 - 2 mu (|w|^2 - mu |M w|^2) + mu^2 |w|^4,
-
-    where the middle term is w^T (P - mu M^2) w.  The curvatures enter only
-    through t and the split (k1 - k2)^2 = 2 |H - t P / 2|^2, never through
-    a square root, and the split is formed from the deviator entries, so it
-    vanishes with them; g = (t^2 - split) / 4.  With s = m_1 + m_2 and
-    e^2 = (m_1 - m_2)^2 = beta^2 split,
-
-        x_1 + x_2 = 2 - mu (s^2 + e^2) / 2,  (x_1 - x_2)^2 = mu^2 s^2 e^2,
-
-    and x_1^2 + x_2^2 is half the sum of their squares.  No O(1) terms
-    cancel down to the O(h^4) square, so the gap is accurate to round-off
-    even where it vanishes.
-    """
-    mu = area_ratio(frame)
-    a, b = _resolvent_weights(frame)
-    t, nu = frame.trace, frame.normal
-    dev = frame.hessian + (0.5 * t)[..., None, None] * (nu[..., :, None] * nu[..., None, :])
-    np.einsum("...ii->...i", dev)[...] -= 0.5 * t[..., None]
-    split = 2.0 * np.einsum("...ij,...ij->...", dev, dev)
-    alpha = 1.0 - 0.25 * b * (t * t - split)
-    beta = a + b * t
-
-    def apply_m(v):
-        """M v for a tangent vector v."""
-        return alpha[..., None] * v + beta[..., None] * np.einsum("...ij,...j->...i", frame.hessian, v)
-
-    c = frame.transversality
-    w = apply_m(frame.face_normal - c[..., None] * nu) / c[..., None]
-    mw = apply_m(w)
-    s2 = (2.0 * alpha + beta * t) ** 2
-    e2 = beta * beta * split
-    x_sum = 2.0 - 0.5 * mu * (s2 + e2)
-    x_squares = 0.5 * (x_sum * x_sum + mu * mu * s2 * e2)
-    ww = np.einsum("...i,...i->...", w, w)
-    mixed = ww - mu * np.einsum("...i,...i->...", mw, mw)
-    return np.sqrt(np.maximum(x_squares - 2.0 * mu * mixed + mu * mu * ww * ww, 0.0))

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .elements import ASSEMBLY_DEGREE, AffineMap, triangle_rule
-from .geometry import SurfaceField, area_ratio, consistency_gap, frame_blocks
+from .geometry import SurfaceField, frame_blocks
 
 __all__ = [
     "BulkMesh",
@@ -416,33 +416,27 @@ def bisect_quads(raw: RawTraceSurface, surface: SurfaceField | None = None) -> T
 
 @dataclass(frozen=True)
 class MeshStats:
-    """Quality and geometric-consistency summary of a trace mesh."""
+    """Quality summary of a trace mesh."""
 
     h: float
     n_triangles: int
     euler_characteristic: int
     max_interior_angle: float
     max_abs_dist: float
-    max_normal_gap: float
-    min_transversality: float
-    max_area: float
-    max_area_mismatch: float       # sup |1 - area ratio| over quadrature points
-    max_consistency_gap: float     # sup |P - B| (Frobenius) over quadrature points
 
 
 def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
-    """Measure the mesh against the continuous surface at the assembly-rule points."""
-    pts, wts = triangle_rule(ASSEMBLY_DEGREE)
-    mu, gap_norm, dist, cos_q = (np.empty((mesh.n_triangles, len(wts))) for _ in range(4))
-    for facets, frames in frame_blocks(surface, mesh, pts):
-        mu[facets] = area_ratio(frames)
-        gap_norm[facets] = consistency_gap(frames)
-        dist[facets] = frames.dist
-        cos_q[facets] = frames.transversality
+    """Summarize the mesh, building its frames at the assembly-rule points.
 
-    nu_c = surface.derivatives(mesh.centroids())[1]
-    normal_gap = np.linalg.norm(nu_c - mesh.face_normals, axis=-1)
-    cos_all = min(float(cos_q.min()), float(np.einsum("fi,fi->f", nu_c, mesh.face_normals).min()))
+    The frames reject a mesh with points outside the tube (``frame_at``) or
+    facets not transverse to the surface (``TangentFrame.transversality``),
+    block by block, before any load or solve.
+    """
+    pts, wts = triangle_rule(ASSEMBLY_DEGREE)
+    dist = np.empty((mesh.n_triangles, len(wts)))
+    for facets, frames in frame_blocks(surface, mesh, pts):
+        frames.transversality  # raises where a facet is not transverse to the surface
+        dist[facets] = frames.dist
 
     return MeshStats(
         h=mesh.h,
@@ -450,11 +444,6 @@ def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
         euler_characteristic=mesh.euler_characteristic,
         max_interior_angle=float(mesh.max_interior_angles().max()),
         max_abs_dist=float(np.abs(dist).max()),
-        max_normal_gap=float(normal_gap.max()),
-        min_transversality=cos_all,
-        max_area=float(mesh.areas().max()),
-        max_area_mismatch=float(np.abs(1.0 - mu).max()),
-        max_consistency_gap=float(gap_norm.max()),
     )
 
 

@@ -17,7 +17,7 @@ from quasitrace.cli import StudyConfig, run_study
 from quasitrace.elements import ASSEMBLY_DEGREE, AffineMap, eval_vector, triangle_rule
 from quasitrace.postprocess_errors import manufactured_sphere
 
-from oracle import interpolate_hdiv
+from oracle import interpolate_hdiv, mesh_diagnostics
 
 DEFAULT_BOX = ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0))
 
@@ -42,6 +42,12 @@ def make_sphere_mesh(n: int, box=DEFAULT_BOX) -> TraceMesh:
 def sphere_meshes():
     """Extracted sphere meshes at n = 8, 16, 32, shared across tests."""
     return {n: make_sphere_mesh(n) for n in (8, 16, 32)}
+
+
+@pytest.fixture(scope="session")
+def sphere_diagnostics(sphere, sphere_meshes):
+    """The oracle's geometric-error sups (``mesh_diagnostics``) of the shared sphere meshes."""
+    return {n: mesh_diagnostics(mesh, sphere) for n, mesh in sphere_meshes.items()}
 
 
 def tet_boundary_mesh() -> TraceMesh:

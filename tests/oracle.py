@@ -4,10 +4,14 @@ The canonical H(div) interpolant (edge moments of a tangential field), the
 L2 projection of the scalar onto facet constants and the inverse of the
 flux-preserving pull-back (Brezzi & Fortin, Mixed and Hybrid Finite Element
 Methods, 1991) back acceptance criteria 5, 7 and 8 and the unit tests.  So
-do the plain closest-point map, the surface and facet tangent projectors,
-the consistency matrix as a 3x3 stack, the inverse facet map, the
-two-sided conformity defect of broken edge moments, the facets on each side
-of a mesh edge and the shifted level values that extraction cuts.
+does the geometric error of a trace mesh that the error analysis bounds
+(Dziuk & Elliott, Acta Numerica 2013): the consistency gap |P - B| in closed
+form and as a 3x3 stack, and the sups of it, of the area mismatch and of
+the normal gap over a mesh (criteria 4 and 7).  So do the plain
+closest-point map, the surface and facet tangent projectors, the inverse
+facet map, the two-sided conformity defect of broken edge moments, the
+facets on each side of a mesh edge and the shifted level values that
+extraction cuts.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 
 from quasitrace.assembly import SolutionFields
 from quasitrace.elements import (
+    ASSEMBLY_DEGREE,
     EDGE_GAUSS_POINTS,
     ERROR_DEGREE,
     REF_EDGES,
@@ -35,6 +40,7 @@ from quasitrace.geometry import (
     area_ratio,
     facet_slices,
     frame_at,
+    frame_blocks,
     piola_from_surface,
 )
 from quasitrace.postprocess_errors import ManufacturedProblem
@@ -91,8 +97,8 @@ def consistency_matrix(frame: TangentFrame) -> np.ndarray:
     B = mu K^T K with K = S (I - d H)^-1 P and the oblique projector
     S = I - nu nu_h^T / c, c = nu . nu_h; because H P = H, the resolvent
     times P is M = P + a H + b H^2 and B = mu (M^2 + w w^T) with
-    w = M nu_h / c.  ``geometry.consistency_gap`` gives |P - B| from
-    scalars and two matrix-vector products per point.
+    w = M nu_h / c.  ``consistency_gap`` gives |P - B| from scalars and two
+    matrix-vector products per point.
     """
     mu = area_ratio(frame)
     a, b = _resolvent_weights(frame)
@@ -100,6 +106,95 @@ def consistency_matrix(frame: TangentFrame) -> np.ndarray:
     m = tangent_projector(frame) + a[..., None, None] * h + b[..., None, None] * (h @ h)
     w = np.einsum("...ij,...j->...i", m, frame.face_normal) / frame.transversality[..., None]
     return mu[..., None, None] * (m @ m + w[..., :, None] * w[..., None, :])
+
+
+def consistency_gap(frame: TangentFrame) -> np.ndarray:
+    """Frobenius norm |P - B| of the geometric-consistency defect, per point.
+
+    B is the symmetric matrix comparing exact and pulled-back tangential
+    mass: for tangent fields p, q the mismatch between the surface mass form
+    and the facet mass form of their pulled-back versions is the mass form
+    of (P - B) p against q, with P the tangent projector.  |P - B| shrinks at
+    second order in the mesh size; used for diagnostics only.
+
+    By definition B = mu K^T K with K = S (I - d H)^-1 P and the oblique
+    projector S = I - nu nu_h^T / c, c = nu . nu_h.  Because H P = H, the
+    resolvent times P is
+
+        M = P + a H + b H^2,  a = d (1 - d t) / D,  b = d^2 / D,
+
+    symmetric with M nu = 0.  Then K = M - nu w^T with w = M nu_h / c
+    tangent, the cross terms of K^T K vanish, and B = mu (M^2 + w w^T).  By
+    Cayley-Hamilton on the tangent plane, H^2 = t H - g P with g = k1 k2,
+    so M = alpha P + beta H with eigenvalues m_i = alpha + beta k_i on the
+    principal directions.  With x_i = 1 - mu m_i^2 the eigenvalues of
+    P - mu M^2,
+
+        |P - B|^2 = x_1^2 + x_2^2 - 2 mu (|w|^2 - mu |M w|^2) + mu^2 |w|^4,
+
+    where the middle term is w^T (P - mu M^2) w.  The curvatures enter only
+    through t and the split (k1 - k2)^2 = 2 |H - t P / 2|^2, never through
+    a square root, and the split is formed from the deviator entries, so it
+    vanishes with them; g = (t^2 - split) / 4.  With s = m_1 + m_2 and
+    e^2 = (m_1 - m_2)^2 = beta^2 split,
+
+        x_1 + x_2 = 2 - mu (s^2 + e^2) / 2,  (x_1 - x_2)^2 = mu^2 s^2 e^2,
+
+    and x_1^2 + x_2^2 is half the sum of their squares.  No O(1) terms
+    cancel down to the O(h^4) square, so the gap is accurate to round-off
+    even where it vanishes.
+    """
+    mu = area_ratio(frame)
+    a, b = _resolvent_weights(frame)
+    t, nu = frame.trace, frame.normal
+    dev = frame.hessian + (0.5 * t)[..., None, None] * (nu[..., :, None] * nu[..., None, :])
+    np.einsum("...ii->...i", dev)[...] -= 0.5 * t[..., None]
+    split = 2.0 * np.einsum("...ij,...ij->...", dev, dev)
+    alpha = 1.0 - 0.25 * b * (t * t - split)
+    beta = a + b * t
+
+    def apply_m(v):
+        """M v for a tangent vector v."""
+        return alpha[..., None] * v + beta[..., None] * np.einsum("...ij,...j->...i", frame.hessian, v)
+
+    c = frame.transversality
+    w = apply_m(frame.face_normal - c[..., None] * nu) / c[..., None]
+    mw = apply_m(w)
+    s2 = (2.0 * alpha + beta * t) ** 2
+    e2 = beta * beta * split
+    x_sum = 2.0 - 0.5 * mu * (s2 + e2)
+    x_squares = 0.5 * (x_sum * x_sum + mu * mu * s2 * e2)
+    ww = np.einsum("...i,...i->...", w, w)
+    mixed = ww - mu * np.einsum("...i,...i->...", mw, mw)
+    return np.sqrt(np.maximum(x_squares - 2.0 * mu * mixed + mu * mu * ww * ww, 0.0))
+
+
+def mesh_diagnostics(mesh: TraceMesh, surface: SurfaceField) -> dict[str, float]:
+    """Sups of the geometric error of ``mesh`` against ``surface``.
+
+    Over the assembly-rule points: the area mismatch |1 - mu|, the
+    consistency gap |P - B| and, with the cosines at the facet centroids,
+    the smallest cosine between surface and facet normals.  Per facet: the
+    normal gap |nu - nu_h| at the centroid and the area.
+    """
+    pts, wts = triangle_rule(ASSEMBLY_DEGREE)
+    mu, gap_norm, cos_q = (np.empty((mesh.n_triangles, len(wts))) for _ in range(3))
+    for facets, frames in frame_blocks(surface, mesh, pts):
+        mu[facets] = area_ratio(frames)
+        gap_norm[facets] = consistency_gap(frames)
+        cos_q[facets] = frames.transversality
+
+    nu_c = surface.derivatives(mesh.centroids())[1]
+    normal_gap = np.linalg.norm(nu_c - mesh.face_normals, axis=-1)
+    cos_all = min(float(cos_q.min()), float(np.einsum("fi,fi->f", nu_c, mesh.face_normals).min()))
+
+    return {
+        "max_normal_gap": float(normal_gap.max()),
+        "min_transversality": cos_all,
+        "max_area": float(mesh.areas().max()),
+        "max_area_mismatch": float(np.abs(1.0 - mu).max()),
+        "max_consistency_gap": float(gap_norm.max()),
+    }
 
 
 def to_reference(amap: AffineMap, x: np.ndarray) -> np.ndarray:

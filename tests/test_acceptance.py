@@ -3,7 +3,8 @@
 Each test prints one pass/fail line (run pytest with -s to see them all).
 Criteria 1-3 share the two full four-level sphere studies (n = 8 to 64)
 provided by session fixtures; the remaining criteria use the smaller shared
-meshes.
+meshes.  Criteria 4 and 7 also read the oracle's geometric-error sups on
+the rt0 study's four meshes, rebuilt once per session.
 """
 
 import numpy as np
@@ -14,8 +15,15 @@ from quasitrace.elements import mixed_space
 from quasitrace.geometry import frame_at, piola_from_surface
 from quasitrace.postprocess_errors import compute_errors, eoc, lift_exact, postprocess_neumann
 
-from conftest import interpolate_facet, l2_scalar_diff, l2_vector_diff, random_needle
-from oracle import closest_point, injected_exact_fields, piola_to_surface, tangent_projector, to_reference
+from conftest import interpolate_facet, l2_scalar_diff, l2_vector_diff, make_sphere_mesh, random_needle
+from oracle import (
+    closest_point,
+    injected_exact_fields,
+    mesh_diagnostics,
+    piola_to_surface,
+    tangent_projector,
+    to_reference,
+)
 from test_elements import boundary_flux
 from test_geometry import random_frames
 
@@ -67,12 +75,32 @@ def test_criterion_3_scalar_superconvergence(study_rt0):
     report(3, "projection error superconverges", ok, "ratios " + " > ".join(f"{r:.3f}" for r in ratios))
 
 
-def test_criterion_4_mesh_assumptions(study_rt0):
+@pytest.fixture(scope="session")
+def study_diagnostics(sphere, sphere_meshes, sphere_diagnostics):
+    """The oracle's ``mesh_diagnostics`` on the four meshes of ``study_rt0`` (n = 8 to 64, default box).
+
+    The n = 64 mesh is rebuilt here, once; ``rebuilt_diagnostics`` checks
+    each rebuilt mesh against the study's record.
+    """
+    finest = make_sphere_mesh(64)
+    meshes = [sphere_meshes[8], sphere_meshes[16], sphere_meshes[32], finest]
+    diagnostics = [sphere_diagnostics[8], sphere_diagnostics[16], sphere_diagnostics[32]]
+    return meshes, diagnostics + [mesh_diagnostics(finest, sphere)]
+
+
+def rebuilt_diagnostics(study, study_diagnostics):
+    meshes, diagnostics = study_diagnostics
+    records = study.report.records
+    assert [(m.n_triangles, m.h) for m in meshes] == [(r.stats.n_triangles, r.stats.h) for r in records]
+    return diagnostics
+
+
+def test_criterion_4_mesh_assumptions(study_rt0, study_diagnostics):
     records = study_rt0.report.records
     eulers = [rec.stats.euler_characteristic for rec in records]
     angles = [rec.stats.max_interior_angle for rec in records]
     dists = [rec.stats.max_abs_dist for rec in records]
-    transversal = [rec.stats.min_transversality for rec in records]
+    transversal = [d["min_transversality"] for d in rebuilt_diagnostics(study_rt0, study_diagnostics)]
     factors = [a / b for a, b in zip(dists, dists[1:])]
     ok = (
         all(e == 2 for e in eulers)
@@ -131,7 +159,7 @@ def test_criterion_6_hybridization_matches_direct_solve(sphere, problem, sphere_
     report(6, "hybridization equals direct solve", ok, f"|du|={worst_u:.2e} |dp|={worst_p:.2e}")
 
 
-def test_criterion_7_transfer_maps(sphere, problem, sphere_meshes, study_rt0):
+def test_criterion_7_transfer_maps(sphere, problem, sphere_meshes, study_rt0, study_diagnostics):
     # roundtrip on 1000 random frames
     rng = np.random.default_rng(100)
     frames = random_frames(rng, sphere, 1000)
@@ -166,7 +194,7 @@ def test_criterion_7_transfer_maps(sphere, problem, sphere_meshes, study_rt0):
         div_gap = max(div_gap, abs(div_fd - expected))
 
     # consistency-matrix gap must shrink at second order across the study
-    gaps = [rec.stats.max_consistency_gap for rec in study_rt0.report.records]
+    gaps = [d["max_consistency_gap"] for d in rebuilt_diagnostics(study_rt0, study_diagnostics)]
     factors = [a / b for a, b in zip(gaps, gaps[1:])]
 
     ok = roundtrip_gap <= 1e-12 and div_gap <= 1e-4 and all(f >= 3.5 for f in factors)

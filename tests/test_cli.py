@@ -36,6 +36,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             StudyConfig(space="rt1")
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("seed_offset", (float("nan"), 0.0, 0.0)),
+            ("box", ((-2.0, float("inf")), (-2.0, 2.0), (-2.0, 2.0))),
+            ("box", ((float("nan"), 2.0), (-2.0, 2.0), (-2.0, 2.0))),
+        ],
+    )
+    def test_rejects_non_finite_input(self, name, value):
+        # NaN fails every margin comparison, so the margin check alone lets it through
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            StudyConfig(**{name: value})
+
 
 class TestRunStudy:
     def test_row_count_and_schema(self, tmp_path):
@@ -71,6 +84,19 @@ class TestRunStudy:
         assert result.report.records[0].errors is None
         assert not (tmp_path / "study.csv").exists()
 
+    @pytest.mark.parametrize("check_mesh_only", [True, False])
+    def test_rejects_a_mesh_outside_the_tube(self, check_mesh_only):
+        """A wide box on a coarse lattice leaves facet points beyond the tube the frames admit."""
+        config = StudyConfig(
+            n0=4,
+            levels=1,
+            box=((-4.55, 4.55),) * 3,
+            seed_offset=(-0.18, -0.37, -0.39),
+            check_mesh_only=check_mesh_only,
+        )
+        with pytest.raises(ValueError, match="^point outside the tubular neighborhood of the surface$"):
+            run_study(config)
+
     def test_seed_offset_completes(self):
         result = run_study(StudyConfig(n0=4, levels=1, seed_offset=(0.013, 0.007, 0.021)))
         assert result.report.records[0].errors.err_u > 0.0
@@ -98,6 +124,10 @@ class TestMain:
     def test_invalid_config_exits_1(self, capsys):
         assert main(["--n0", "2", "--levels", "1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_offset_exits_1(self, capsys):
+        assert main(["--n0", "4", "--levels", "1", "--seed-offset", "nan", "0", "0", "--check-mesh-only"]) == 1
+        assert capsys.readouterr().err == "error: seed_offset must be finite\n"
 
     def test_unusable_out_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"

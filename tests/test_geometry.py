@@ -17,7 +17,6 @@ from quasitrace.geometry import (
     Sphere,
     _resolvent_weights,
     area_ratio,
-    consistency_gap,
     frame_at,
     frame_blocks,
     piola_from_surface,
@@ -28,9 +27,11 @@ from quasitrace.trace_mesh import mesh_stats
 from conftest import random_rotation
 from oracle import (
     closest_point,
+    consistency_gap,
     consistency_matrix,
     face_projector,
     injected_exact_fields,
+    mesh_diagnostics,
     piola_to_surface,
     tangent_projector,
 )
@@ -315,7 +316,7 @@ class TestPiolaMaps:
 
 
 class TestConsistencyGap:
-    """The closed-form gap against |P - B| of the 3x3 consistency matrix in tests/oracle.py.
+    """The closed-form gap against |P - B| of the 3x3 consistency matrix, both in tests/oracle.py.
 
     Each eigenvalue 1 - mu m_i^2 of P - mu M^2 is formed before it is
     squared, and the curvature split comes from the deviator of H, so the
@@ -354,10 +355,8 @@ class TestConsistencyGap:
                 worst = max(worst, float(np.abs(consistency_gap(fr) - self.oracle_gap(fr)).max()))
             assert worst <= 1e-14, n
 
-    def test_gap_scales_with_mesh(self, sphere, sphere_meshes):
-        from quasitrace.trace_mesh import mesh_stats
-
-        gaps = [mesh_stats(sphere_meshes[n], sphere).max_consistency_gap for n in (8, 16, 32)]
+    def test_gap_scales_with_mesh(self, sphere_diagnostics):
+        gaps = [sphere_diagnostics[n]["max_consistency_gap"] for n in (8, 16, 32)]
         assert gaps[0] / gaps[1] >= 3.5
         assert gaps[1] / gaps[2] >= 3.5
 
@@ -451,6 +450,7 @@ class TestFacetBlocks:
             injected = injected_exact_fields(mesh, sphere, space, problem)
             return (
                 mesh_stats(mesh, sphere),
+                mesh_diagnostics(mesh, sphere),
                 build_rhs(problem.f, mesh, sphere).values.tobytes(),
                 compute_errors(mesh, space, lift_exact(mesh, sphere, problem), fields, u_star=u_star),
                 injected.p_local.tobytes(),
@@ -495,13 +495,11 @@ class TestLiftScalar:
 
 
 class TestAreaRatioBound:
-    def test_positive_and_second_order(self, sphere, sphere_meshes):
-        from quasitrace.trace_mesh import mesh_stats
-
+    def test_positive_and_second_order(self, sphere_meshes, sphere_diagnostics):
         sups, constants = [], []
         for n in (8, 16, 32):
-            stats = mesh_stats(sphere_meshes[n], sphere)
-            sups.append(stats.max_area_mismatch)
-            constants.append(stats.max_area_mismatch / sphere_meshes[n].h ** 2)
+            mismatch = sphere_diagnostics[n]["max_area_mismatch"]
+            sups.append(mismatch)
+            constants.append(mismatch / sphere_meshes[n].h ** 2)
         assert sups[0] / sups[1] >= 3.0 and sups[1] / sups[2] >= 3.0
         assert max(constants) <= 2.0 * min(constants)

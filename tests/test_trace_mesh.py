@@ -2,7 +2,7 @@
 
 import hashlib
 import tracemalloc
-from dataclasses import fields
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from quasitrace.trace_mesh import (
 )
 
 from conftest import DEFAULT_BOX, make_sphere_mesh, random_rotation, tet_boundary_mesh
-from oracle import edge_incidence, shifted_level_values
+from oracle import edge_incidence, mesh_diagnostics, shifted_level_values
 
 # The arrays of an extracted mesh in digest order: the stored fields, and
 # the edge incidence the oracle derives from the triangles.
@@ -302,15 +302,16 @@ class TestSphereMesh:
         assert mesh.maps.origin.flags.owndata
         assert np.array_equal(mesh.maps.origin, mesh.corner_points()[:, 0])
 
-    def test_stats_decrease_under_refinement(self, sphere, sphere_meshes):
+    def test_stats_decrease_under_refinement(self, sphere, sphere_meshes, sphere_diagnostics):
         stats = {n: mesh_stats(sphere_meshes[n], sphere) for n in (8, 16, 32)}
+        diag = sphere_diagnostics
         assert stats[8].max_abs_dist / stats[16].max_abs_dist >= 3.5
         assert stats[16].max_abs_dist / stats[32].max_abs_dist >= 3.5
-        assert stats[8].max_normal_gap / stats[16].max_normal_gap >= 1.8
-        assert stats[16].max_normal_gap / stats[32].max_normal_gap >= 1.8
-        for s in stats.values():
+        assert diag[8]["max_normal_gap"] / diag[16]["max_normal_gap"] >= 1.8
+        assert diag[16]["max_normal_gap"] / diag[32]["max_normal_gap"] >= 1.8
+        for n, s in stats.items():
             assert s.euler_characteristic == 2
-            assert s.min_transversality > 0.0
+            assert diag[n]["min_transversality"] > 0.0
 
     def test_closed_surface_at_each_level(self, sphere_meshes):
         for mesh in sphere_meshes.values():
@@ -335,17 +336,18 @@ class TestMeshBytes:
         assert mesh_digest(make_sphere_mesh(n, box)) == digest
 
 
-def stats_bits(stats) -> dict:
-    """Every ``MeshStats`` value, floats as ``float.hex``."""
-    bits = {}
-    for f in fields(stats):
-        value = getattr(stats, f.name)
-        bits[f.name] = value.hex() if isinstance(value, float) else value
-    return bits
+def stats_bits(stats, diagnostics: dict) -> dict:
+    """Every ``MeshStats`` value and every oracle diagnostic, floats as ``float.hex``."""
+    values = {**asdict(stats), **diagnostics}
+    return {name: value.hex() if isinstance(value, float) else value for name, value in values.items()}
 
 
 class TestMeshStatsBytes:
-    """Every mesh statistic is pinned bit for bit to a reference run."""
+    """Every mesh statistic and the oracle's diagnostics are pinned bit for bit to a reference run.
+
+    The diagnostics were ``MeshStats`` fields when these values were
+    recorded, so the pins also show that moving them changed no expression.
+    """
 
     PINNED = {
         "n8": {
@@ -374,12 +376,14 @@ class TestMeshStatsBytes:
         },
     }
 
-    def test_zero_offset(self, sphere, sphere_meshes):
-        assert stats_bits(mesh_stats(sphere_meshes[8], sphere)) == self.PINNED["n8"]
+    def test_zero_offset(self, sphere, sphere_meshes, sphere_diagnostics):
+        bits = stats_bits(mesh_stats(sphere_meshes[8], sphere), sphere_diagnostics[8])
+        assert bits == self.PINNED["n8"]
 
     def test_offset_lattice(self, sphere):
         box = np.asarray(DEFAULT_BOX) + np.asarray((0.031, 0.117, 0.203))[:, None]
-        assert stats_bits(mesh_stats(make_sphere_mesh(16, box), sphere)) == self.PINNED["n16-a"]
+        mesh = make_sphere_mesh(16, box)
+        assert stats_bits(mesh_stats(mesh, sphere), mesh_diagnostics(mesh, sphere)) == self.PINNED["n16-a"]
 
 
 class TestExtractedMeshProperties:
