@@ -16,14 +16,13 @@ multiplier in its kernel; a single dense bordering row enforces a zero
 facet-mean of the scalar and makes the system nonsingular.  The same map
 embeds global coefficients in the conforming cross-check matrices.
 
-A direct solve of the full conforming indefinite system (with a scalar
-Lagrange multiplier for the mean constraint) is provided as an independent
-cross-check; hybridization and the direct solve are algebraically
-equivalent.  The cross-check factors a quasi-definite shift of the
-saddle-point matrix (its zero block made slightly negative definite) with a
-symmetric minimum-degree ordering and no pivoting, then refines against the
-exact matrix (Vanderbei, SIAM J. Optim. 1995; Gill, Saunders & Shinnerl,
-SIAM J. Matrix Anal. Appl. 1996).
+A direct solve of the full conforming indefinite system is provided as an
+independent cross-check; hybridization and the direct solve are
+algebraically equivalent.  The cross-check factors a quasi-definite shift of
+the saddle-point matrix with a symmetric minimum-degree ordering and no
+pivoting, refines against the exact matrix (Vanderbei, SIAM J. Optim. 1995;
+Gill, Saunders & Shinnerl, SIAM J. Matrix Anal. Appl. 1996), and fixes the
+scalar mean after the solve instead of through a dense bordering row.
 """
 
 from __future__ import annotations
@@ -289,48 +288,42 @@ def conforming_matrices(dofs: EdgeDofs, blocks: LocalBlocks) -> tuple[sp.csr_mat
 def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> SolutionFields:
     """Direct solve of the full conforming indefinite system.
 
-    Cross-check for the hybrid path: same local blocks, no condensation, the
-    facet-mean constraint enforced through one scalar Lagrange multiplier.
+    Cross-check for the hybrid path: same local blocks, no condensation.
+    On a closed surface every edge flux enters its two facets with opposite
+    signs, so B^T 1 = 0 and the constant scalar (0, 1) spans the kernel of
+    K = [[A, -B^T], [-B, 0]].  The load is mean free, so K x = (0, -load) is
+    consistent, and the multiplier of a bordering mean constraint would be
+    sum(load) / sum(areas) = 0: subtracting the area-weighted mean of the
+    scalar after the solve gives the bordered solution.  The bordering row
+    would couple to every facet, and minimum degree, unlike COLAMD, does not
+    set dense rows aside: that row alone made the factor 1.7-2.8 times slower.
 
-    The saddle-point matrix K = [[A, -B^T, 0], [-B, 0, -a], [0, -a^T, 0]]
-    has a zero block.  Shifting that block by -delta I, with delta =
-    ``SADDLE_REGULARIZATION`` * max diag(A), makes the matrix quasi-definite
-    (A positive definite, the shifted block negative definite), so every
-    symmetric ordering has nonzero pivots: it is factored with a symmetric
-    minimum-degree ordering and no pivoting, which fills far less than an
-    unsymmetric ordering of K.  Iterative refinement takes its residuals
-    against the unshifted K, so the error contracts by a factor of about
-    delta * |K^{-1}| per step and the result solves K itself.
-    Both residuals are recorded; a warning is raised when either exceeds
-    1e-8, as in ``solve_hybrid``.
+    K - delta diag(0, I), delta = ``SADDLE_REGULARIZATION`` * max diag(A),
+    is quasi-definite, so every symmetric ordering has nonzero pivots: it is
+    factored with a symmetric minimum-degree ordering and no pivoting.
+    Refinement takes its residuals against K, so the error contracts by
+    about delta * |K^{-1}| per step; the shifted matrix maps (0, 1) to a
+    multiple of itself, so no step adds a kernel component.  Both residuals
+    are recorded; a warning is raised when either exceeds 1e-8.
     """
     blocks = assemble_local_blocks(mesh, space, rhs)
     dofs = edge_dofs(mesh, space)
     a_mat, b_mat = conforming_matrices(dofs, blocks)
     n_p, nf = a_mat.shape[0], len(mesh.triangles)
-    areas = mesh.areas()
-    area_col = sp.csc_matrix(areas[:, None])
-    system = sp.bmat(
-        [
-            [a_mat, -b_mat.T, None],
-            [-b_mat, None, -area_col],
-            [None, -area_col.T, None],
-        ],
-        format="csc",
-    )
+    system = sp.bmat([[a_mat, -b_mat.T], [-b_mat, None]], format="csc")
     delta = SADDLE_REGULARIZATION * a_mat.diagonal().max()
-    shift = sp.diags(np.concatenate([np.zeros(n_p), np.full(nf + 1, delta)]), format="csc")
+    shift = sp.diags(np.concatenate([np.zeros(n_p), np.full(nf, delta)]), format="csc")
     try:
         lu = splu(
             system - shift, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
         )
     except RuntimeError as exc:
         raise RuntimeError(f"factorization of the saddle-point system failed ({system.shape[0]} unknowns)") from exc
-    full_rhs = np.concatenate([np.zeros(n_p), -blocks.load, [0.0]])
-    sol = _refined_solve(system, full_rhs, lu)
+    sol = _refined_solve(system, np.concatenate([np.zeros(n_p), -blocks.load]), lu)
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("saddle-point solve produced non-finite values")
-    fields = SolutionFields(p_local=local_vector_coefficients(dofs, sol[:n_p]), u=sol[n_p : n_p + nf])
+    areas = mesh.areas()
+    u = sol[n_p:] - (areas * sol[n_p:]).sum() / areas.sum()
+    fields = SolutionFields(p_local=local_vector_coefficients(dofs, sol[:n_p]), u=u)
     _record_residuals(fields, dofs, blocks, a_mat, b_mat, "saddle-point system")
     return fields
-

@@ -88,7 +88,12 @@ def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int)
     mesh = bisect_quads(
         extract_trace_surface(build_bulk_mesh(config.shifted_box(), n), surface.signed_distance), surface=surface
     )
-    stats = mesh_stats(mesh, surface)
+    try:
+        stats = mesh_stats(mesh, surface)
+    except ValueError as exc:  # a coarse lattice cuts facets far from the surface
+        spacing = np.ptp(config.shifted_box(), axis=1).max() / n
+        remedy = "use a larger n0 or a smaller box"
+        raise ValueError(f"level {level} (n = {n}, lattice spacing {spacing:.3g}): {exc}; {remedy}") from exc
     if stats.euler_characteristic != 2:
         raise RuntimeError(f"level {level}: extracted surface is not a topological sphere")
     if config.check_mesh_only:

@@ -1,10 +1,12 @@
 """Hybridized solve, saddle-point cross-check, and load construction."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import quasitrace.assembly as assembly
 from quasitrace.assembly import (
@@ -25,6 +27,7 @@ from quasitrace.elements import (
     triangle_rule,
 )
 from quasitrace.geometry import area_ratio, frame_at
+from quasitrace.trace_mesh import ZERO_VALUE_SHIFT, build_bulk_mesh
 
 from conftest import (
     DEFAULT_BOX,
@@ -198,6 +201,30 @@ class TestSolvers:
         assert abs((mesh.areas() * saddle.u).sum()) < 1e-12
 
     @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+    def test_saddle_point_matches_the_dense_bordered_system(self, kind, sphere_solves):
+        """The mean fixed after the solve gives the solution of the system
+        bordered by the mean constraint, whose multiplier vanishes."""
+        mesh, out = sphere_solves
+        space, _, saddle, rhs = out[kind]
+        dofs = edge_dofs(mesh, space)
+        blocks = assemble_local_blocks(mesh, space, rhs=rhs)
+        a_mat, b_mat = conforming_matrices(dofs, blocks)
+        n_p, nf = dofs.size, mesh.n_triangles
+        a, b, areas = a_mat.toarray(), b_mat.toarray(), mesh.areas()[:, None]
+        bordered = np.block(
+            [
+                [a, -b.T, np.zeros((n_p, 1))],
+                [-b, np.zeros((nf, nf)), -areas],
+                [np.zeros((1, n_p)), -areas.T, np.zeros((1, 1))],
+            ]
+        )
+        sol = np.linalg.solve(bordered, np.concatenate([np.zeros(n_p), -blocks.load, [0.0]]))
+        p_local, u, multiplier = local_vector_coefficients(dofs, sol[:n_p]), sol[n_p:-1], sol[-1]
+        assert abs(multiplier) <= 1e-12
+        assert np.linalg.norm(saddle.u - u) <= 1e-10 * np.linalg.norm(u)
+        assert np.linalg.norm(saddle.p_local - p_local) <= 1e-10 * np.linalg.norm(p_local)
+
+    @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
     def test_discrete_conservation(self, kind, sphere_solves):
         """Balance equation holds elementwise against the assembled load."""
         mesh, out = sphere_solves
@@ -253,6 +280,20 @@ def offset_mesh(n: int, seed: int):
     return make_sphere_mesh(n, box=box + offset[:, None])
 
 
+@pytest.fixture
+def factors(monkeypatch):
+    """Every ``(matrix, factor)`` pair that ``assembly.splu`` makes during the test."""
+    made = []
+
+    def recording_splu(matrix, **options):
+        lu = splu(matrix, **options)
+        made.append((matrix, lu))
+        return lu
+
+    monkeypatch.setattr(assembly, "splu", recording_splu)
+    return made
+
+
 class TestQuasiDefiniteSaddleFactor:
     """The saddle-point system is factored as a quasi-definite shift with a
     symmetric ordering and refined against the exact matrix."""
@@ -269,21 +310,24 @@ class TestQuasiDefiniteSaddleFactor:
         assert l2_scalar_diff(mesh, hybrid.u, saddle.u) <= 1e-8
         assert l2_vector_diff(mesh, space, hybrid.p_local, saddle.p_local) <= 1e-8
 
-    def test_symmetric_ordering_cuts_the_fill(self, monkeypatch, sphere, problem):
-        factors = []
-        splu = assembly.splu
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+    def test_factored_matrix_has_no_dense_row(self, kind, n, factors, sphere, problem, sphere_meshes):
+        """Minimum degree has no dense-row detection, so the factored matrix
+        holds only edge moments and facet scalars, each coupled to its two
+        facets at most."""
+        mesh, space = sphere_meshes[n], mixed_space(kind)
+        solve_saddle_point(mesh, space, rhs=build_rhs(problem.f, mesh, sphere))
+        (matrix, _), = factors
+        assert matrix.shape[0] == edge_dofs(mesh, space).size + mesh.n_triangles
+        assert np.diff(matrix.tocsc().indptr).max() <= 2 * space.n_dofs + 2
 
-        def recording_splu(matrix, **options):
-            lu = splu(matrix, **options)
-            factors.append((matrix, lu))
-            return lu
-
-        monkeypatch.setattr(assembly, "splu", recording_splu)
+    def test_symmetric_ordering_cuts_the_fill(self, factors, sphere, problem):
         mesh = offset_mesh(24, 2024)
         space = mixed_space("bdm1")
         solve_saddle_point(mesh, space, rhs=build_rhs(problem.f, mesh, sphere))
         (shifted, lu), = factors
-        # undo the shift of the scalar and mean-multiplier diagonal
+        # undo the shift of the scalar diagonal
         n_p = edge_dofs(mesh, space).size
         delta = assembly.SADDLE_REGULARIZATION * shifted.diagonal()[:n_p].max()
         exact = shifted + sp.diags(np.r_[np.zeros(n_p), np.full(shifted.shape[0] - n_p, delta)])
@@ -300,8 +344,8 @@ class TestQuasiDefiniteSaddleFactor:
 @pytest.mark.parametrize("what", ["multiplier", "saddle-point"])
 def test_failed_factorization_names_the_size(monkeypatch, sphere_meshes, what):
     """Both solves raise a typed error naming the size of the system they
-    factor: the multipliers and the mean row, or the edge moments, the facet
-    scalars and the mean multiplier."""
+    factor: the multipliers and the mean row, or the edge moments and the
+    facet scalars."""
 
     def singular(matrix, **options):
         raise RuntimeError("Factor is exactly singular")
@@ -309,12 +353,51 @@ def test_failed_factorization_names_the_size(monkeypatch, sphere_meshes, what):
     mesh, space = sphere_meshes[8], mixed_space("rt0")
     rhs = zero_rhs(mesh)
     monkeypatch.setattr(assembly, "splu", singular)
-    size = edge_dofs(mesh, space).size + 1 + (mesh.n_triangles if what == "saddle-point" else 0)
+    size = edge_dofs(mesh, space).size + (mesh.n_triangles if what == "saddle-point" else 1)
     with pytest.raises(RuntimeError, match=f"{what} system failed \\({size} unknowns\\)"):
         if what == "multiplier":
             solve_hybrid(condense_and_assemble(mesh, space, rhs))
         else:
             solve_saddle_point(mesh, space, rhs)
+
+
+NEEDLE_RAY = np.array([0.6, 0.64, 0.48])  # a unit vector
+
+
+def needle_mesh(k: float):
+    """n = 16 sphere mesh on a lattice shifted so that the node nearest
+    ``NEEDLE_RAY`` sits at signed distance ``k * ZERO_VALUE_SHIFT * h_bulk``
+    along it.  The cut lifts the node's value to the zero-value shift at
+    k = 0 and 1 and keeps it at k = 1.01 and 10; either way the facets
+    around the node are needles.  Returns the mesh and the node's offset
+    from its target."""
+    box = np.array(DEFAULT_BOX)
+    bulk = build_bulk_mesh(box, 16)
+    node = np.argmin(np.linalg.norm(bulk.vertices - NEEDLE_RAY, axis=1))
+    target = (1.0 + k * ZERO_VALUE_SHIFT * bulk.h_bulk) * NEEDLE_RAY
+    shifted = box + (target - bulk.vertices[node])[:, None]
+    miss = np.linalg.norm(build_bulk_mesh(shifted, 16).vertices[node] - target)
+    return make_sphere_mesh(16, box=shifted), miss
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 1.01, 10.0])
+def test_solves_agree_where_the_needles_are(k, sphere, problem):
+    """The worst-conditioned mass blocks leave both solves exact, equal and
+    mean free, without a warning."""
+    mesh, miss = needle_mesh(k)
+    assert miss <= 1e-15
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rhs = build_rhs(problem.f, mesh, sphere)
+        for kind in ("rt0", "bdm1"):
+            space = mixed_space(kind)
+            hybrid = solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs))
+            saddle = solve_saddle_point(mesh, space, rhs=rhs)
+            assert max(saddle.residual_flux, saddle.residual_balance) <= 1e-12, kind
+            assert l2_scalar_diff(mesh, hybrid.u, saddle.u) <= 1e-8, kind
+            assert l2_vector_diff(mesh, space, hybrid.p_local, saddle.p_local) <= 1e-8, kind
+            assert abs((mesh.areas() * saddle.u).sum()) <= 1e-12, kind
+    assert [str(w.message) for w in caught] == []
 
 
 class TestConformingMatrices:

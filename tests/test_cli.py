@@ -1,6 +1,7 @@
 """Study driver, CSV/SVG output, and flag handling."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -86,7 +87,8 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("check_mesh_only", [True, False])
     def test_rejects_a_mesh_outside_the_tube(self, check_mesh_only):
-        """A wide box on a coarse lattice leaves facet points beyond the tube the frames admit."""
+        """A wide box on a coarse lattice leaves facet points beyond the tube the
+        frames admit; the error names the level, the lattice and a remedy."""
         config = StudyConfig(
             n0=4,
             levels=1,
@@ -94,7 +96,11 @@ class TestRunStudy:
             seed_offset=(-0.18, -0.37, -0.39),
             check_mesh_only=check_mesh_only,
         )
-        with pytest.raises(ValueError, match="^point outside the tubular neighborhood of the surface$"):
+        message = (
+            "level 0 (n = 4, lattice spacing 2.27): point outside the tubular neighborhood of the surface; "
+            "use a larger n0 or a smaller box"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_study(config)
 
     def test_seed_offset_completes(self):
