@@ -13,16 +13,17 @@ sides of an edge, odd linear moments with the edge-direction sign), so
 static condensation reduces to gathering sign-adjusted blocks of K^{-1}.
 The condensed matrix is symmetric positive semidefinite with the constant
 multiplier in its kernel; a single dense bordering row enforces a zero
-facet-mean of the scalar and makes the system nonsingular.  The same map
-embeds global coefficients in the conforming cross-check matrices.
+facet-mean of the scalar and makes the system nonsingular.
 
 A direct solve of the full conforming indefinite system is provided as an
 independent cross-check; hybridization and the direct solve are
-algebraically equivalent.  The cross-check factors a quasi-definite shift of
-the saddle-point matrix with a symmetric minimum-degree ordering and no
-pivoting, refines against the exact matrix (Vanderbei, SIAM J. Optim. 1995;
-Gill, Saunders & Shinnerl, SIAM J. Matrix Anal. Appl. 1996), and fixes the
-scalar mean after the solve instead of through a dense bordering row.
+algebraically equivalent.  The cross-check writes the saddle-point matrix
+from the local blocks in one sparse conversion, factors a quasi-definite
+shift of it with a symmetric minimum-degree ordering and no pivoting,
+refines against the exact matrix (Vanderbei, SIAM J. Optim. 1995; Gill,
+Saunders & Shinnerl, SIAM J. Matrix Anal. Appl. 1996), and fixes the scalar
+mean after the solve instead of through a dense bordering row.  Both solves
+scatter their residuals from the local blocks: no global matrix is built to be multiplied once.
 """
 
 from __future__ import annotations
@@ -56,12 +57,16 @@ __all__ = [
     "SolutionFields",
     "solve_hybrid",
     "solve_saddle_point",
-    "conforming_matrices",
 ]
 
 # Relative size of the shift that makes the saddle-point zero block negative
 # definite, in units of the largest diagonal entry of the vector mass matrix.
 SADDLE_REGULARIZATION = 1e-12
+
+# SuperLU panel width of the saddle-point factor.  Best of 20 (n = 24) and of 7 (n = 48) on a
+# 2-vCPU x86_64 VM, shifted lattice, rt0 / bdm1: the default took 9.1 / 24.1 and 50.4 / 165 ms, 4 took
+# 7.2 / 21.4 and 40.5 / 155 ms, 2-8 about as little, 20 as much as the default; nnz(L+U) never changed.
+SADDLE_PANEL_SIZE = 4
 
 # Relative residual above which a solve warns; it matches the conditioning
 # slack of the hybrid / direct equivalence (acceptance criterion 6).
@@ -159,21 +164,38 @@ class HybridSystem:
         return self.dofs.size
 
 
+def _saddle_blocks(blocks: LocalBlocks, corner: float) -> np.ndarray:
+    """Per-facet blocks [[A, -b^T], [-b, corner]], (F, nq+1, nq+1)."""
+    nf, nq = blocks.mass.shape[:2]
+    k = np.empty((nf, nq + 1, nq + 1))
+    k[:, :nq, :nq] = blocks.mass
+    k[:, :nq, nq] = k[:, nq, :nq] = -blocks.div
+    k[:, nq, nq] = corner
+    return k
+
+
+def _scatter_pattern(ids: np.ndarray, extra: int = 0) -> np.ndarray:
+    """Rows and columns (2, F m^2 + extra) of per-facet blocks on the dofs ``ids`` (F, m), then free slots.
+
+    C ints, SuperLU's index type, written in place: COO takes them uncopied, which keeps a level's peak down.
+    """
+    f, m = ids.shape
+    pattern = np.empty((2, f * m * m + extra), dtype=np.intc)
+    pattern[0, : f * m * m].reshape(f, m, m)[...] = ids[:, :, None]
+    pattern[1, : f * m * m].reshape(f, m, m)[...] = ids[:, None, :]
+    return pattern
+
+
 def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> HybridSystem:
     """Eliminate facet unknowns and assemble the global multiplier system."""
     blocks = assemble_local_blocks(mesh, space, rhs)
-    nq = space.n_dofs
-    nf = len(mesh.triangles)
-    k = np.zeros((nf, nq + 1, nq + 1))
-    k[:, :nq, :nq] = blocks.mass
-    k[:, :nq, nq] = -blocks.div
-    k[:, nq, :nq] = -blocks.div
+    nf, nq = len(mesh.triangles), space.n_dofs
     # Needle facets give the mass block a condition number near the squared
     # aspect ratio; symmetric diagonal equilibration keeps the inverse
     # accurate there.
     scale = np.ones((nf, nq + 1))
     scale[:, :nq] = 1.0 / np.sqrt(np.einsum("fkk->fk", blocks.mass))
-    k_eq = scale[:, :, None] * k * scale[:, None, :]
+    k_eq = scale[:, :, None] * _saddle_blocks(blocks, 0.0) * scale[:, None, :]
     try:
         kinv = np.linalg.inv(k_eq)
     except np.linalg.LinAlgError as exc:  # cannot happen for SPD mass blocks
@@ -182,29 +204,21 @@ def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> 
 
     dofs = edge_dofs(mesh, space)
     ids, sign, n_mult = dofs.ids, dofs.coupling, dofs.size
-
     s_blocks = sign[:, :, None] * sign[:, None, :] * kinv[:, :nq, :nq]
-    rows = np.broadcast_to(ids[:, :, None], s_blocks.shape)
-    cols = np.broadcast_to(ids[:, None, :], s_blocks.shape)
-    s_mat = sp.coo_matrix(
-        (s_blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n_mult, n_mult)
-    ).tocsr()
-
-    g_loc = -sign * blocks.load[:, None] * kinv[:, :nq, nq]
-    g = np.zeros(n_mult)
-    np.add.at(g, ids.ravel(), g_loc.ravel())
-
+    g = np.bincount(ids.ravel(), (-sign * blocks.load[:, None] * kinv[:, :nq, nq]).ravel(), minlength=n_mult)
     areas = mesh.areas()
-    w_loc = -sign * areas[:, None] * kinv[:, :nq, nq]
-    w = np.zeros(n_mult)
-    np.add.at(w, ids.ravel(), w_loc.ravel())
+    w = np.bincount(ids.ravel(), (-sign * areas[:, None] * kinv[:, :nq, nq]).ravel(), minlength=n_mult)
     w_shift = float((-blocks.load * areas * kinv[:, nq, nq]).sum())
 
-    bordered = sp.bmat(
-        [[s_mat, sp.csc_matrix(w[:, None])], [sp.csc_matrix(w[None, :]), None]], format="csc"
-    )
-    full_rhs = np.concatenate([g, [-w_shift]])
-    return HybridSystem(matrix=bordered, rhs=full_rhs, kinv=kinv, dofs=dofs, blocks=blocks)
+    # One conversion: a duplicate sums two facet terms, in either order the
+    # same bits, and exact zeros of w stay out, as a dense border's do.
+    border = np.flatnonzero(w)
+    last = np.full(len(border), n_mult)
+    pattern = _scatter_pattern(ids, 2 * len(border))
+    pattern[:, s_blocks.size :] = np.r_[border, last], np.r_[last, border]
+    entries = np.concatenate([s_blocks.ravel(), w[border], w[border]])
+    bordered = sp.coo_matrix((entries, tuple(pattern)), shape=(n_mult + 1, n_mult + 1)).tocsc()
+    return HybridSystem(matrix=bordered, rhs=np.concatenate([g, [-w_shift]]), kinv=kinv, dofs=dofs, blocks=blocks)
 
 
 @dataclass
@@ -217,13 +231,17 @@ class SolutionFields:
     residual_balance: float = np.nan   # relative defect of the balance equation
 
 
-def _record_residuals(
-    fields: SolutionFields, dofs: EdgeDofs, blocks: LocalBlocks, a_mat: sp.csr_matrix, b_mat: sp.csr_matrix, what: str
-) -> None:
-    """Store both relative residuals of ``fields`` and warn when either exceeds ``RESIDUAL_WARNING``."""
-    p_glob = global_vector_coefficients(dofs, fields.p_local)
-    r1 = a_mat @ p_glob - b_mat.T @ fields.u
-    scale1 = np.linalg.norm(a_mat @ p_glob) + np.linalg.norm(b_mat.T @ fields.u)
+def _record_residuals(fields: SolutionFields, dofs: EdgeDofs, blocks: LocalBlocks, what: str) -> None:
+    """Store both relative residuals of ``fields`` and warn when either exceeds ``RESIDUAL_WARNING``.
+
+    A p and B^T u are scattered from the local blocks, as the assembled conforming matrices would sum them.
+    """
+    ids, sign = dofs.ids.ravel(), dofs.conforming
+    p_conf = local_vector_coefficients(dofs, global_vector_coefficients(dofs, fields.p_local))
+    a_p = np.bincount(ids, (sign * np.einsum("fkl,fl->fk", blocks.mass, p_conf)).ravel(), minlength=dofs.size)
+    bt_u = np.bincount(ids, (sign * blocks.div * fields.u[:, None]).ravel(), minlength=dofs.size)
+    r1 = a_p - bt_u
+    scale1 = np.linalg.norm(a_p) + np.linalg.norm(bt_u)
     r2 = np.einsum("k,fk->f", blocks.div, fields.p_local) - blocks.load
     scale2 = np.linalg.norm(blocks.load)
     res1 = float(np.linalg.norm(r1) / max(scale1, 1e-300))
@@ -260,29 +278,8 @@ def solve_hybrid(system: HybridSystem) -> SolutionFields:
     rhs_loc[:, nq] = -system.blocks.load
     x = np.einsum("fij,fj->fi", system.kinv, rhs_loc)
     fields = SolutionFields(p_local=x[:, :nq], u=x[:, nq])
-    a_mat, b_mat = conforming_matrices(system.dofs, system.blocks)
-    _record_residuals(fields, system.dofs, system.blocks, a_mat, b_mat, "multiplier system")
+    _record_residuals(fields, system.dofs, system.blocks, "multiplier system")
     return fields
-
-
-def conforming_matrices(dofs: EdgeDofs, blocks: LocalBlocks) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Assemble the conforming vector mass and divergence matrices from local blocks.
-
-    Global vector dofs are the edge moments numbered by ``dofs``; rows of
-    the divergence matrix correspond to facets (constant scalars).
-    """
-    ids, sign, n_p = dofs.ids, dofs.conforming, dofs.size
-    nf = len(blocks.load)
-
-    a_blocks = sign[:, :, None] * sign[:, None, :] * blocks.mass
-    rows = np.broadcast_to(ids[:, :, None], a_blocks.shape)
-    cols = np.broadcast_to(ids[:, None, :], a_blocks.shape)
-    a_mat = sp.coo_matrix((a_blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n_p, n_p)).tocsr()
-
-    b_data = sign * blocks.div
-    b_rows = np.broadcast_to(np.arange(nf)[:, None], ids.shape)
-    b_mat = sp.coo_matrix((b_data.ravel(), (b_rows.ravel(), ids.ravel())), shape=(nf, n_p)).tocsr()
-    return a_mat, b_mat
 
 
 def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> SolutionFields:
@@ -300,30 +297,36 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> Sol
 
     K - delta diag(0, I), delta = ``SADDLE_REGULARIZATION`` * max diag(A),
     is quasi-definite, so every symmetric ordering has nonzero pivots: it is
-    factored with a symmetric minimum-degree ordering and no pivoting.
-    Refinement takes its residuals against K, so the error contracts by
-    about delta * |K^{-1}| per step; the shifted matrix maps (0, 1) to a
-    multiple of itself, so no step adds a kernel component.  Both residuals
-    are recorded; a warning is raised when either exceeds 1e-8.
+    factored with a symmetric minimum-degree ordering, no pivoting and
+    ``SADDLE_PANEL_SIZE``-column panels.  Refinement takes its residuals
+    against K, so the error contracts by about delta * |K^{-1}| per step;
+    the shifted matrix maps (0, 1) to a multiple of itself, so no step adds
+    a kernel component.  Both residuals are recorded; a warning is raised
+    when either exceeds 1e-8.  The shifted matrix is scattered from the
+    local blocks in one COO to CSC conversion; K shares its pattern, with
+    explicit zeros on the scalar diagonal.
     """
-    blocks = assemble_local_blocks(mesh, space, rhs)
-    dofs = edge_dofs(mesh, space)
-    a_mat, b_mat = conforming_matrices(dofs, blocks)
-    n_p, nf = a_mat.shape[0], len(mesh.triangles)
-    system = sp.bmat([[a_mat, -b_mat.T], [-b_mat, None]], format="csc")
-    delta = SADDLE_REGULARIZATION * a_mat.diagonal().max()
-    shift = sp.diags(np.concatenate([np.zeros(n_p), np.full(nf, delta)]), format="csc")
+    blocks, dofs = assemble_local_blocks(mesh, space, rhs), edge_dofs(mesh, space)
+    n_p, nf = dofs.size, mesh.n_triangles
+    size = n_p + nf
+    # each edge diagonal of A sums two facet terms, so delta has the assembled bits
+    delta = SADDLE_REGULARIZATION * np.bincount(dofs.ids.ravel(), np.einsum("fkk->fk", blocks.mass).ravel()).max()
+    ids, sign = np.column_stack([dofs.ids, n_p + np.arange(nf)]), np.column_stack([dofs.conforming, np.ones(nf)])
+    k = sign[:, :, None] * sign[:, None, :] * _saddle_blocks(blocks, -delta)
+    shifted = sp.coo_matrix((k.ravel(), tuple(_scatter_pattern(ids))), shape=(size, size)).tocsc()
+    # sorted rows put the diagonal last in each scalar column
+    system = sp.csc_matrix((shifted.data.copy(), shifted.indices, shifted.indptr), shape=(size, size))
+    system.data[shifted.indptr[n_p + 1 :] - 1] = 0.0
     try:
-        lu = splu(
-            system - shift, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  panel_size=SADDLE_PANEL_SIZE, options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise RuntimeError(f"factorization of the saddle-point system failed ({system.shape[0]} unknowns)") from exc
+        raise RuntimeError(f"factorization of the saddle-point system failed ({size} unknowns)") from exc
     sol = _refined_solve(system, np.concatenate([np.zeros(n_p), -blocks.load]), lu)
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("saddle-point solve produced non-finite values")
     areas = mesh.areas()
     u = sol[n_p:] - (areas * sol[n_p:]).sum() / areas.sum()
     fields = SolutionFields(p_local=local_vector_coefficients(dofs, sol[:n_p]), u=u)
-    _record_residuals(fields, dofs, blocks, a_mat, b_mat, "saddle-point system")
+    _record_residuals(fields, dofs, blocks, "saddle-point system")
     return fields

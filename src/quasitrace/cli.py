@@ -88,18 +88,19 @@ def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int)
     mesh = bisect_quads(
         extract_trace_surface(build_bulk_mesh(config.shifted_box(), n), surface.signed_distance), surface=surface
     )
+    stats = mesh_stats(mesh, surface)
+    if stats.euler_characteristic != 2:
+        raise RuntimeError(f"level {level}: extracted surface is not a topological sphere")
+    # the load's frames, the level's one frame pass, reject the mesh, so both modes sample it
     try:
-        stats = mesh_stats(mesh, surface)
+        rhs = build_rhs(problem.f, mesh, surface)
     except ValueError as exc:  # a coarse lattice cuts facets far from the surface
         spacing = np.ptp(config.shifted_box(), axis=1).max() / n
         remedy = "use a larger n0 or a smaller box"
         raise ValueError(f"level {level} (n = {n}, lattice spacing {spacing:.3g}): {exc}; {remedy}") from exc
-    if stats.euler_characteristic != 2:
-        raise RuntimeError(f"level {level}: extracted surface is not a topological sphere")
     if config.check_mesh_only:
         return mesh, LevelRecord(level=level, n=n, stats=stats, errors=None)
 
-    rhs = build_rhs(problem.f, mesh, surface)
     system = condense_and_assemble(mesh, space, rhs=rhs)
     # Large meshes are lifted on a worker thread while this thread factors
     # the system; compute_errors waits for the samples.
@@ -116,10 +117,7 @@ def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int)
         else:
             u_star_alt = alt
     errors = compute_errors(mesh, space, exact, fields, u_star=u_star, u_star_alt=u_star_alt)
-    record = LevelRecord(
-        level=level, n=n, stats=stats, errors=errors, rhs_mean_correction=rhs.mean_correction
-    )
-    return mesh, record
+    return mesh, LevelRecord(level=level, n=n, stats=stats, errors=errors, rhs_mean_correction=rhs.mean_correction)
 
 
 def run_study(config: StudyConfig) -> StudyResult:

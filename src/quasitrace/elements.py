@@ -15,7 +15,7 @@ Physical facets are images of the reference triangle under affine maps with
 a 3x2 derivative; vector fields are pushed with the flux-preserving scaling
 A / jac, scalars by plain composition.  A mesh builds its affine maps once
 (``TraceMesh.maps``), and the physical points of a triangle rule are formed
-one facet block at a time (``geometry.frame_blocks``), never for a whole
+one facet block at a time (``geometry.point_blocks``), never for a whole
 mesh.
 """
 

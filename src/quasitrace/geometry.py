@@ -21,8 +21,8 @@ Cayley-Hamilton the resolvent at distance d is
 
 exact on every vector, not only on tangent ones.  ``frame_at`` computes t
 and D once per frame; the tube check keeps D >= 1/4.  Consumers
-evaluate frames facet block by facet block (``frame_blocks``), so no
-(F, Q, 3, 3) stack of a whole mesh is ever built.
+evaluate points and frames facet block by facet block (``point_blocks``,
+``frame_blocks``), so no (F, Q, 3, 3) stack of a whole mesh is ever built.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "FACET_BLOCK",
     "facet_slices",
     "frame_at",
+    "point_blocks",
     "frame_blocks",
     "area_ratio",
     "piola_from_surface",
@@ -167,18 +168,21 @@ def facet_slices(count: int):
         yield slice(start, min(start + FACET_BLOCK, count))
 
 
-def frame_blocks(surface: SurfaceField, mesh, ref_points: np.ndarray):
-    """Frames at reference-triangle points mapped onto every facet, one block of facets at a time.
+def point_blocks(mesh, ref_points: np.ndarray):
+    """Reference-triangle points mapped onto every facet, one block of facets at a time.
 
-    Yields ``(facets, frame)`` with ``facets`` a slice of the facet axis of
-    ``mesh`` and ``frame`` built where ``ref_points`` (Q, 2) map onto those
-    facets; the points of one block are the only physical points formed.
-    Consumers fill preallocated per-point arrays block by block and reduce
-    them whole, so their results do not depend on the block size.
+    Yields ``(facets, points)``: a facet slice and the (f, Q, 3) images of
+    ``ref_points`` (Q, 2), the only physical points formed.  Consumers reduce
+    per-point arrays whole, so their results do not depend on the block size.
     """
     maps = mesh.maps
     for facets in facet_slices(len(maps)):
-        points = maps[facets].to_physical(ref_points)
+        yield facets, maps[facets].to_physical(ref_points)
+
+
+def frame_blocks(surface: SurfaceField, mesh, ref_points: np.ndarray):
+    """``(facets, frame)`` at the points of ``point_blocks``, rejecting points outside the tube."""
+    for facets, points in point_blocks(mesh, ref_points):
         yield facets, frame_at(surface, points, mesh.face_normals[facets, None, :])
 
 

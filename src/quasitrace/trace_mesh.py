@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .elements import ASSEMBLY_DEGREE, AffineMap, triangle_rule
-from .geometry import SurfaceField, frame_blocks
+from .geometry import SurfaceField, point_blocks
 
 __all__ = [
     "BulkMesh",
@@ -426,24 +426,19 @@ class MeshStats:
 
 
 def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
-    """Summarize the mesh, building its frames at the assembly-rule points.
+    """Summarize the mesh, with ``max_abs_dist`` from ``signed_distance`` at the assembly-rule points.
 
-    The frames reject a mesh with points outside the tube (``frame_at``) or
-    facets not transverse to the surface (``TangentFrame.transversality``),
-    block by block, before any load or solve.
+    No frames are built and no mesh is rejected here: the load's frames (``assembly.build_rhs``), at
+    the same points, reject facet points outside the tube and facets not transverse to the surface.
     """
-    pts, wts = triangle_rule(ASSEMBLY_DEGREE)
-    dist = np.empty((mesh.n_triangles, len(wts)))
-    for facets, frames in frame_blocks(surface, mesh, pts):
-        frames.transversality  # raises where a facet is not transverse to the surface
-        dist[facets] = frames.dist
-
+    pts = triangle_rule(ASSEMBLY_DEGREE)[0]
+    max_abs_dist = max(float(np.abs(surface.signed_distance(x)).max()) for _, x in point_blocks(mesh, pts))
     return MeshStats(
         h=mesh.h,
         n_triangles=mesh.n_triangles,
         euler_characteristic=mesh.euler_characteristic,
         max_interior_angle=float(mesh.max_interior_angles().max()),
-        max_abs_dist=float(np.abs(dist).max()),
+        max_abs_dist=max_abs_dist,
     )
 
 

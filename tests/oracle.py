@@ -10,15 +10,17 @@ form and as a 3x3 stack, and the sups of it, of the area mismatch and of
 the normal gap over a mesh (criteria 4 and 7).  So do the plain
 closest-point map, the surface and facet tangent projectors, the inverse
 facet map, the two-sided conformity defect of broken edge moments, the
-facets on each side of a mesh edge and the shifted level values that
-extraction cuts.
+facets on each side of a mesh edge, the shifted level values that
+extraction cuts, and the assembled conforming mass and divergence matrices
+whose products the solves' residual checks scatter from the local blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from quasitrace.assembly import SolutionFields
+from quasitrace.assembly import LocalBlocks, SolutionFields
 from quasitrace.elements import (
     ASSEMBLY_DEGREE,
     EDGE_GAUSS_POINTS,
@@ -290,3 +292,23 @@ def injected_exact_fields(
 def conformity_defect(dofs: EdgeDofs, p_local: np.ndarray) -> float:
     """Largest disagreement of shared edge moments read from the two sides."""
     return float(np.abs(p_local - local_vector_coefficients(dofs, global_vector_coefficients(dofs, p_local))).max())
+
+
+def conforming_matrices(dofs: EdgeDofs, blocks: LocalBlocks) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Assemble the conforming vector mass and divergence matrices from local blocks.
+
+    Global vector dofs are the edge moments numbered by ``dofs``; rows of
+    the divergence matrix correspond to facets (constant scalars).
+    """
+    ids, sign, n_p = dofs.ids, dofs.conforming, dofs.size
+    nf = len(blocks.load)
+
+    a_blocks = sign[:, :, None] * sign[:, None, :] * blocks.mass
+    rows = np.broadcast_to(ids[:, :, None], a_blocks.shape)
+    cols = np.broadcast_to(ids[:, None, :], a_blocks.shape)
+    a_mat = sp.coo_matrix((a_blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n_p, n_p)).tocsr()
+
+    b_data = sign * blocks.div
+    b_rows = np.broadcast_to(np.arange(nf)[:, None], ids.shape)
+    b_mat = sp.coo_matrix((b_data.ravel(), (b_rows.ravel(), ids.ravel())), shape=(nf, n_p)).tocsr()
+    return a_mat, b_mat

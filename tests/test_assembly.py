@@ -10,10 +10,10 @@ from scipy.sparse.linalg import splu
 
 import quasitrace.assembly as assembly
 from quasitrace.assembly import (
+    SolutionFields,
     assemble_local_blocks,
     build_rhs,
     condense_and_assemble,
-    conforming_matrices,
     solve_hybrid,
     solve_saddle_point,
 )
@@ -38,7 +38,7 @@ from conftest import (
     tet_boundary_mesh,
     zero_rhs,
 )
-from oracle import closest_point, conformity_defect, to_reference
+from oracle import closest_point, conformity_defect, conforming_matrices, to_reference
 from test_elements import boundary_flux
 
 
@@ -334,11 +334,89 @@ class TestQuasiDefiniteSaddleFactor:
         colamd = splu(exact.tocsc())
         assert lu.L.nnz + lu.U.nnz <= 0.5 * (colamd.L.nnz + colamd.U.nnz)
 
+    @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+    def test_one_pass_matrix_is_the_assembled_shift(self, kind, factors, sphere, problem, sphere_meshes):
+        """The matrix scattered from the local blocks in one conversion is,
+        entry for entry, [[A, -B^T], [-B, 0]] - delta diag(0, I) from the
+        assembled conforming matrices, with the bits of their delta."""
+        mesh, space = sphere_meshes[8], mixed_space(kind)
+        rhs = build_rhs(problem.f, mesh, sphere)
+        solve_saddle_point(mesh, space, rhs=rhs)
+        (matrix, _), = factors
+        dofs = edge_dofs(mesh, space)
+        a_mat, b_mat = conforming_matrices(dofs, assemble_local_blocks(mesh, space, rhs=rhs))
+        n_p, nf = dofs.size, mesh.n_triangles
+        delta = assembly.SADDLE_REGULARIZATION * a_mat.diagonal().max()
+        assembled = sp.bmat([[a_mat, -b_mat.T], [-b_mat, None]]) - sp.diags(np.r_[np.zeros(n_p), np.full(nf, delta)])
+        assert np.array_equal(matrix.diagonal()[n_p:], np.full(nf, -delta))
+        got, want = sp.csc_matrix(matrix, copy=True), sp.csc_matrix(assembled, copy=True)
+        for m in (got, want):
+            m.eliminate_zeros()
+            m.sort_indices()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
     def test_stalled_refinement_warns(self, monkeypatch, sphere, problem, sphere_meshes):
         mesh = sphere_meshes[8]
         monkeypatch.setattr(assembly, "SADDLE_REGULARIZATION", 1e-2)
         with pytest.warns(UserWarning, match="saddle-point system"):
             solve_saddle_point(mesh, mixed_space("rt0"), rhs=build_rhs(problem.f, mesh, sphere))
+
+
+def assembled_residuals(dofs, blocks, fields) -> tuple[float, float]:
+    """Relative flux and balance residuals from the assembled conforming matrices."""
+    a_mat, b_mat = conforming_matrices(dofs, blocks)
+    p_glob = global_vector_coefficients(dofs, fields.p_local)
+    a_p, bt_u = a_mat @ p_glob, b_mat.T @ fields.u
+    flux = np.linalg.norm(a_p - bt_u) / (np.linalg.norm(a_p) + np.linalg.norm(bt_u))
+    balance = np.einsum("k,fk->f", blocks.div, fields.p_local) - blocks.load
+    return float(flux), float(np.linalg.norm(balance) / np.linalg.norm(blocks.load))
+
+
+@pytest.fixture(scope="module")
+def residual_cases(sphere, problem, sphere_meshes):
+    """Local blocks, edge dofs and both solutions for each (n, space)."""
+    out = {}
+    for n in (8, 16):
+        mesh = sphere_meshes[n]
+        rhs = build_rhs(problem.f, mesh, sphere)
+        for kind in ("rt0", "bdm1"):
+            space = mixed_space(kind)
+            solves = {
+                "multiplier": solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs)),
+                "saddle-point": solve_saddle_point(mesh, space, rhs=rhs),
+            }
+            out[n, kind] = edge_dofs(mesh, space), assemble_local_blocks(mesh, space, rhs=rhs), solves
+    return out
+
+
+class TestBlockResiduals:
+    """The residual checks scatter A p and B^T u from the local blocks."""
+
+    @pytest.mark.parametrize("what", ["multiplier", "saddle-point"])
+    @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_recorded_residuals_are_the_assembled_ones(self, n, kind, what, residual_cases):
+        dofs, blocks, solves = residual_cases[n, kind]
+        fields = solves[what]
+        flux, balance = assembled_residuals(dofs, blocks, fields)
+        assert abs(fields.residual_flux - flux) <= 1e-14
+        assert abs(fields.residual_balance - balance) <= 1e-14
+
+    @pytest.mark.parametrize("what", ["multiplier", "saddle-point"])
+    @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+    def test_perturbed_solution_warns(self, kind, what, residual_cases):
+        dofs, blocks, solves = residual_cases[8, kind]
+        noise = np.random.default_rng(7).standard_normal(solves[what].p_local.shape)
+        fields = SolutionFields(p_local=solves[what].p_local * (1.0 + 1e-6 * noise), u=solves[what].u.copy())
+        with pytest.warns(UserWarning) as caught:
+            assembly._record_residuals(fields, dofs, blocks, f"{what} system")
+        worst = max(assembled_residuals(dofs, blocks, fields))
+        assert worst > assembly.RESIDUAL_WARNING
+        assert [str(w.message) for w in caught] == [
+            f"discrete equations satisfied only to {worst:.3e} (ill-conditioned {what} system)"
+        ]
 
 
 @pytest.mark.parametrize("what", ["multiplier", "saddle-point"])

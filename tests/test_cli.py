@@ -3,6 +3,7 @@
 import hashlib
 import re
 
+import numpy as np
 import pytest
 
 from quasitrace.cli import CSV_COLUMNS, StudyConfig, main, report_csv, run_study
@@ -102,6 +103,19 @@ class TestRunStudy:
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_study(config)
+
+    @pytest.mark.parametrize("offset", np.random.default_rng(19).uniform(-0.4, 0.4, size=(6, 3)).tolist())
+    def test_both_modes_reject_the_same_coarse_meshes(self, offset):
+        """The load's frames are the level's only frame pass, and both modes
+        sample the load: a coarse lattice fails alike with and without
+        ``check_mesh_only``."""
+        messages = []
+        for check_mesh_only in (True, False):
+            config = StudyConfig(n0=4, levels=1, seed_offset=tuple(offset), check_mesh_only=check_mesh_only)
+            with pytest.raises(ValueError, match=r"^level 0 \(n = 4, lattice spacing 1\): ") as caught:
+                run_study(config)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
     def test_seed_offset_completes(self):
         result = run_study(StudyConfig(n0=4, levels=1, seed_offset=(0.013, 0.007, 0.021)))

@@ -88,7 +88,7 @@ def test_check_sees_a_dense_solver_call(tmp_path):
 
 # The only function that maps a facet rule onto physical points, one facet
 # block at a time.
-POINT_MAPPERS = ("frame_blocks",)
+POINT_MAPPERS = ("point_blocks",)
 
 
 def facet_point_reads(path: Path) -> list[str]:
@@ -116,7 +116,7 @@ def test_no_whole_mesh_facet_points():
 def test_check_sees_a_facet_point_read(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text(
-        "def frame_blocks(surface, mesh, ref_points):\n"
+        "def point_blocks(mesh, ref_points):\n"
         "    return mesh.maps[facets].to_physical(ref_points)\n\n"
         "def mesh_stats(mesh, surface):\n"
         "    pts, wts = triangle_rule(4)\n"
