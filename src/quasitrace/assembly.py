@@ -73,18 +73,26 @@ SADDLE_PANEL_SIZE = 4
 RESIDUAL_WARNING = 1e-8
 
 
-def _refined_solve(matrix: sp.csc_matrix, rhs: np.ndarray, lu) -> np.ndarray:
-    """Solve with the factor ``lu`` and two steps of iterative refinement on ``matrix``.
+def _refined_solve(matrix: sp.csc_matrix, factored: sp.csc_matrix, rhs: np.ndarray, what: str,
+                   **splu_options) -> np.ndarray:
+    """Factor ``factored`` and solve ``matrix`` x = ``rhs`` with two steps of iterative refinement.
 
     Anisotropic cut facets make the assembled systems poorly conditioned;
     refinement recovers small residuals at the cost of extra triangular
     solves on the same factorization.  Residuals are taken against
     ``matrix``, so a factor of a nearby matrix converges to the solution of
-    ``matrix`` itself.
+    ``matrix`` itself.  A failed factorization and a non-finite solution
+    raise ``RuntimeError`` naming the ``what`` system.
     """
+    try:
+        lu = splu(factored, **splu_options)
+    except RuntimeError as exc:
+        raise RuntimeError(f"factorization of the {what} system failed ({matrix.shape[0]} unknowns)") from exc
     x = lu.solve(rhs)
     for _ in range(2):
         x += lu.solve(rhs - matrix @ x)
+    if not np.all(np.isfinite(x)):
+        raise RuntimeError(f"{what} solve produced non-finite values")
     return x
 
 
@@ -263,15 +271,7 @@ def solve_hybrid(system: HybridSystem) -> SolutionFields:
     # COLAMD with partial pivoting, the SuperLU default: a symmetric ordering
     # would cut the fill, but it moves the solution at round-off, and
     # study.csv resolves that.
-    try:
-        lu = splu(system.matrix)
-    except RuntimeError as exc:
-        size = system.matrix.shape[0]
-        raise RuntimeError(f"factorization of the multiplier system failed ({size} unknowns)") from exc
-    sol = _refined_solve(system.matrix, system.rhs, lu)
-    if not np.all(np.isfinite(sol)):
-        raise RuntimeError("multiplier solve produced non-finite values")
-    lam = sol[:-1]
+    lam = _refined_solve(system.matrix, system.matrix, system.rhs, "multiplier")[:-1]
     nf, nq = system.dofs.ids.shape
     rhs_loc = np.empty((nf, nq + 1))
     rhs_loc[:, :nq] = -system.dofs.coupling * lam[system.dofs.ids]
@@ -317,14 +317,9 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> Sol
     # sorted rows put the diagonal last in each scalar column
     system = sp.csc_matrix((shifted.data.copy(), shifted.indices, shifted.indptr), shape=(size, size))
     system.data[shifted.indptr[n_p + 1 :] - 1] = 0.0
-    try:
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  panel_size=SADDLE_PANEL_SIZE, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise RuntimeError(f"factorization of the saddle-point system failed ({size} unknowns)") from exc
-    sol = _refined_solve(system, np.concatenate([np.zeros(n_p), -blocks.load]), lu)
-    if not np.all(np.isfinite(sol)):
-        raise RuntimeError("saddle-point solve produced non-finite values")
+    sol = _refined_solve(system, shifted, np.concatenate([np.zeros(n_p), -blocks.load]), "saddle-point",
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, panel_size=SADDLE_PANEL_SIZE,
+                         options={"SymmetricMode": True})
     areas = mesh.areas()
     u = sol[n_p:] - (areas * sol[n_p:]).sum() / areas.sum()
     fields = SolutionFields(p_local=local_vector_coefficients(dofs, sol[:n_p]), u=u)

@@ -31,9 +31,10 @@ from .trace_mesh import bisect_quads, build_bulk_mesh, extract_trace_surface, me
 
 __all__ = ["StudyConfig", "StudyResult", "run_study", "main"]
 
-CSV_COLUMNS = (
-    "level,h,n_tri,max_angle,max_abs_d,err_p,err_u,err_eu,err_post,"
-    "rate_p,rate_u,rate_eu,rate_post"
+# The error norms a study reports, in column, plot and log order.
+ERRORS = ("err_p", "err_u", "err_eu", "err_post")
+CSV_COLUMNS = ",".join(
+    ["level", "h", "n_tri", "max_angle", "max_abs_d", *ERRORS, *(name.replace("err_", "rate_") for name in ERRORS)]
 )
 
 
@@ -158,36 +159,19 @@ def _fmt(value) -> str:
 
 
 def report_csv(report: ErrorReport) -> str:
-    rates = {name: report.rates(name) for name in ("err_p", "err_u", "err_eu", "err_post")}
+    rates = [report.rates(name) for name in ERRORS]
     lines = [CSV_COLUMNS]
     for i, rec in enumerate(report.records):
-        cells = [
-            str(rec.level),
-            _fmt(rec.h),
-            str(rec.stats.n_triangles),
-            _fmt(rec.stats.max_interior_angle),
-            _fmt(rec.stats.max_abs_dist),
-            _fmt(rec.errors.err_p),
-            _fmt(rec.errors.err_u),
-            _fmt(rec.errors.err_eu),
-            _fmt(rec.errors.err_post),
-            _fmt(rates["err_p"][i]),
-            _fmt(rates["err_u"][i]),
-            _fmt(rates["err_eu"][i]),
-            _fmt(rates["err_post"][i]),
-        ]
-        lines.append(",".join(cells))
+        cells = [rec.level, rec.h, rec.stats.n_triangles, rec.stats.max_interior_angle, rec.stats.max_abs_dist]
+        cells += [getattr(rec.errors, name) for name in ERRORS] + [rate[i] for rate in rates]
+        lines.append(",".join(map(_fmt, cells)))
     return "\n".join(lines) + "\n"
 
 
 def report_svg(report: ErrorReport, width: int = 640, height: int = 480) -> str:
     """Log-log error plot with reference slopes 1 and 2, no plotting deps."""
-    series = {
-        "err_p": ("#1f77b4", report.column("err_p")),
-        "err_u": ("#d62728", report.column("err_u")),
-        "err_eu": ("#2ca02c", report.column("err_eu")),
-        "err_post": ("#9467bd", report.column("err_post")),
-    }
+    colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+    series = {name: (color, report.column(name)) for name, color in zip(ERRORS, colors)}
     hs = report.hs()
     xs = np.log10(hs)
     all_vals = [v for _, vals in series.values() for v in vals if v is not None and v > 0]
@@ -299,10 +283,7 @@ def main(argv=None) -> int:
             f"max_angle={rec.stats.max_interior_angle:.4f} max|d|={rec.stats.max_abs_dist:.3e}"
         )
         if rec.errors is not None:
-            line += (
-                f" err_p={rec.errors.err_p:.3e} err_u={rec.errors.err_u:.3e} "
-                f"err_eu={rec.errors.err_eu:.3e} err_post={rec.errors.err_post:.3e}"
-            )
+            line += "".join(f" {name}={getattr(rec.errors, name):.3e}" for name in ERRORS)
             if rec.errors.err_post_alt is not None:
                 line += f" err_post_gradient={rec.errors.err_post_alt:.3e}"
         print(line)

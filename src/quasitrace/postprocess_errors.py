@@ -10,16 +10,16 @@ Error norms compare against the manufactured solution transferred to the
 facet mesh at the points of the error rule: the scalar through the
 closest-point lift, the vector through the flux-preserving pull-back.  The
 transfer does not depend on the discrete solution, so it is data:
-``lift_exact`` samples it once per level, and ``compute_errors`` only
-evaluates the discrete fields against those samples.  On large meshes the
-lift runs on a private worker thread while the caller factors the hybrid
-system, since SuperLU releases the GIL; ``compute_errors`` waits for it.
+``lift_exact`` samples it once per level and returns a future of the
+samples, and ``compute_errors`` only evaluates the discrete fields against
+them.  The lift runs on a private worker thread; on large meshes the caller
+factors the hybrid system meanwhile, since SuperLU releases the GIL.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "manufactured_sphere",
     "postprocess_neumann",
     "postprocess_gradient",
-    "ExactSamples",
     "lift_exact",
     "compute_errors",
     "ErrorNorms",
@@ -169,12 +168,12 @@ class ErrorNorms:
     err_post_alt: float | None = None
 
 
-# Meshes with at least this many facets are lifted on the worker thread.
-# On smaller meshes the lift outlasts the factorization it would overlap,
-# and the caller then waits on the thread for up to one GIL switch interval
-# between its own stages: with no threshold, traced 4- and 8-subdivision
-# studies spent only 82-85% of each level inside its stages, against
-# 97.6-97.8% with this one.
+# On meshes with fewer facets, ``lift_exact`` waits for the lift before it
+# returns.  There the lift outlasts the factorization it would overlap, and
+# the caller would then wait on the thread for up to one GIL switch interval
+# between its own stages: a traced rt0 study from 12 subdivisions spent 74.5%
+# of each level inside its stages when every lift overlapped, against 98.9%
+# with this threshold, at the same wall time.
 LIFT_THREAD_MIN_FACETS = 8192
 
 # One worker: the lift of a level overlaps that level's factorization, and
@@ -185,79 +184,61 @@ LIFT_THREAD_MIN_FACETS = 8192
 _LIFT_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="quasitrace-lift")
 
 
-@dataclass(frozen=True)
-class ExactSamples:
-    """The exact solution sampled on the error rule of one mesh, by ``lift_exact``.
-
-    ``p`` and ``u`` are written facet block by facet block; while ``pending``
-    is set, the worker thread may still be writing them, so only
-    ``compute_errors`` reads them, after waiting for it.
-    """
-
-    degree: int               # degree of the error rule the samples were taken on
-    p: np.ndarray             # (F, Q, 3) Piola-pulled exact vector unknown
-    u: np.ndarray             # (F, Q) lifted exact scalar
-    pending: Future | None    # the worker's lift, or None when lifted inline
-
-
 def _lift_blocks(mesh: TraceMesh, surface: SurfaceField, problem: ManufacturedProblem,
-                 ref_points: np.ndarray, p_out: np.ndarray, u_out: np.ndarray) -> None:
+                 ref_points: np.ndarray, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for facets, frames in frame_blocks(surface, mesh, ref_points):
         closest = frames.closest
-        p_out[facets] = piola_from_surface(frames, problem.p(closest))
-        u_out[facets] = problem.u(closest)
+        p[facets] = piola_from_surface(frames, problem.p(closest))
+        u[facets] = problem.u(closest)
+    return p, u
 
 
-def lift_exact(mesh: TraceMesh, surface: SurfaceField, problem: ManufacturedProblem) -> ExactSamples:
+def lift_exact(mesh: TraceMesh, surface: SurfaceField, problem: ManufacturedProblem) -> Future:
     """Sample the exact solution on the error rule (degree ``ERROR_DEGREE``) of every facet.
 
     The vector unknown is pulled back to the facets by the flux-preserving
-    map and the scalar lifted from the closest points.  Meshes with at least
-    ``LIFT_THREAD_MIN_FACETS`` facets are lifted on the worker thread and
-    the call returns at once; the caller allocates the outputs either way.
+    map and the scalar lifted from the closest points, on the worker thread.
+    Returns a future of the samples ``(p, u)``, (F, Q, 3) and (F, Q), which
+    the calling thread allocates; on meshes of fewer than
+    ``LIFT_THREAD_MIN_FACETS`` facets it is done when the call returns.  A
+    lift error is raised by ``result()``.
     """
     pts, _ = triangle_rule(ERROR_DEGREE)
     p = np.empty((mesh.n_triangles, len(pts), 3))
     u = np.empty((mesh.n_triangles, len(pts)))
-    args = (mesh, surface, problem, pts, p, u)
-    pending = None
-    if mesh.n_triangles >= LIFT_THREAD_MIN_FACETS:
-        pending = _LIFT_WORKER.submit(_lift_blocks, *args)
-    else:
-        _lift_blocks(*args)
-    return ExactSamples(degree=ERROR_DEGREE, p=p, u=u, pending=pending)
+    lifted = _LIFT_WORKER.submit(_lift_blocks, mesh, surface, problem, pts, p, u)
+    if mesh.n_triangles < LIFT_THREAD_MIN_FACETS:
+        wait([lifted])
+    return lifted
 
 
 def compute_errors(
     mesh: TraceMesh,
     space: MixedSpace,
-    exact: ExactSamples,
+    exact: Future,
     fields: SolutionFields,
     u_star: np.ndarray | None = None,
     u_star_alt: np.ndarray | None = None,
 ) -> ErrorNorms:
     """L2 error norms over the facet mesh on the error rule (degree ``ERROR_DEGREE``).
 
-    ``exact`` holds the samples ``lift_exact`` took on this mesh.  Waits for
-    a lift still running on the worker thread and re-raises its error;
-    samples taken on another rule or another number of facets raise
-    ``ValueError``.
+    ``exact`` is the future ``lift_exact`` returned for this mesh.  Waits
+    for it and re-raises a lift error; samples taken on another rule or
+    another number of facets raise ``ValueError``.
     """
-    if exact.pending is not None:
-        exact.pending.result()
+    p_exact, u_lift = exact.result()
     maps = mesh.maps
     pts, wts = triangle_rule(ERROR_DEGREE)
-    if exact.degree != ERROR_DEGREE or exact.u.shape != (len(maps), len(wts)):
+    if u_lift.shape != (len(maps), len(wts)):
         raise ValueError(
-            f"exact samples of degree {exact.degree} on {exact.u.shape[0]} facets do not match "
+            f"exact samples of shape {u_lift.shape} do not match "
             f"the degree-{ERROR_DEGREE} error rule on {len(maps)} facets"
         )
     cell = wts[None, :] * maps.jac[:, None]
     p_gap = np.empty(cell.shape)
     for facets in facet_slices(len(maps)):
         p_h = eval_vector(maps[facets], space, fields.p_local[facets], pts)
-        p_gap[facets] = ((exact.p[facets] - p_h) ** 2).sum(axis=-1)
-    u_lift = exact.u
+        p_gap[facets] = ((p_exact[facets] - p_h) ** 2).sum(axis=-1)
 
     err_p = math.sqrt(float((cell * p_gap).sum()))
 

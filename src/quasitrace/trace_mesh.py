@@ -149,18 +149,15 @@ class RawTraceSurface:
 def extract_trace_surface(bulk: BulkMesh, psi) -> RawTraceSurface:
     """Cut the zero set of the vertex-interpolated level function out of ``bulk``.
 
-    ``psi`` is either a callable evaluated at the bulk vertices or an array of
-    per-vertex values (ordering = bulk vertex order).  Vertex values within
+    ``psi`` is a callable evaluated at the bulk vertices; it returns one
+    finite value per vertex, in bulk vertex order.  Vertex values within
     ``ZERO_VALUE_SHIFT * h_bulk`` of zero are shifted positive first, which
     makes the sign patterns exhaustive: one vertex against three yields a
     triangle, two against two a planar quadrilateral.  Each polygon records
     whether its cyclic order must be reversed for its normal to point to the
     psi > 0 side of its tetrahedron.
     """
-    if callable(psi):
-        values = np.asarray(psi(bulk.vertices), dtype=float)
-    else:
-        values = np.array(psi, dtype=float).ravel()
+    values = np.asarray(psi(bulk.vertices), dtype=float)
     if values.shape != (len(bulk.vertices),):
         raise ValueError("need one level value per bulk vertex")
     if not np.all(np.isfinite(values)):

@@ -439,6 +439,24 @@ def test_failed_factorization_names_the_size(monkeypatch, sphere_meshes, what):
             solve_saddle_point(mesh, space, rhs)
 
 
+@pytest.mark.parametrize("what", ["multiplier", "saddle-point"])
+def test_non_finite_solution_is_refused(monkeypatch, sphere_meshes, what):
+    """A factor whose solves return NaN makes either solve raise instead of recovering fields."""
+
+    class NanFactor:
+        def solve(self, rhs):
+            return np.full(len(rhs), np.nan)
+
+    mesh, space = sphere_meshes[8], mixed_space("rt0")
+    rhs = zero_rhs(mesh)
+    monkeypatch.setattr(assembly, "splu", lambda matrix, **options: NanFactor())
+    with pytest.raises(RuntimeError, match=f"^{what} solve produced non-finite values$"):
+        if what == "multiplier":
+            solve_hybrid(condense_and_assemble(mesh, space, rhs))
+        else:
+            solve_saddle_point(mesh, space, rhs)
+
+
 NEEDLE_RAY = np.array([0.6, 0.64, 0.48])  # a unit vector
 
 

@@ -127,10 +127,10 @@ def test_check_sees_a_facet_point_read(tmp_path):
     assert facet_point_reads(source) == ["mod.py:6", "mod.py:7"]
 
 
-# The only functions that may factor a sparse matrix (``splu``) or apply a
-# factor (``.solve``): each solve chooses its factor, and one helper runs
-# the refinement loop against the matrix it is given.
-FACTOR_SITES = {"splu": ("solve_hybrid", "solve_saddle_point"), "solve": ("_refined_solve",)}
+# The only function that may factor a sparse matrix (``splu``) or apply a
+# factor (``.solve``): one helper factors what each solve chooses, runs the
+# refinement loop against the matrix it is given and checks the result.
+FACTOR_SITES = {"splu": ("_refined_solve",), "solve": ("_refined_solve",)}
 
 
 def factor_calls(path: Path) -> list[str]:
@@ -161,9 +161,9 @@ def test_check_sees_a_stray_factor_call(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text(
         "def solve_hybrid(system):\n"
-        "    lu = splu(system.matrix)\n"
-        "    return _refined_solve(system.matrix, system.rhs, lu)\n\n"
-        "def _refined_solve(matrix, rhs, lu):\n"
+        "    return _refined_solve(system.matrix, system.matrix, system.rhs, 'multiplier')\n\n"
+        "def _refined_solve(matrix, factored, rhs, what, **splu_options):\n"
+        "    lu = splu(factored, **splu_options)\n"
         "    return lu.solve(rhs)\n\n"
         "def condense(k, b):\n"
         "    lu = scipy.sparse.linalg.splu(k)\n"

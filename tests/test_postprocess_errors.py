@@ -200,39 +200,41 @@ class TestErrorNorms:
 
 
 class TestExactLift:
-    """The exact solution is sampled once per level, inline or on the worker thread."""
+    """The exact solution is sampled once per level on the worker thread, overlapped or waited for at once."""
 
     @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
     def test_worker_and_inline_lifts_agree_bitwise(self, monkeypatch, kind, sphere, problem, sphere_meshes):
-        """A lift beside the factorization, with thread switches forced often, matches the inline lift."""
+        """A lift beside the factorization, with thread switches forced often, matches one waited for at once."""
         mesh = sphere_meshes[16]
         space = mixed_space(kind)
         rhs = build_rhs(problem.f, mesh, sphere)
         system = condense_and_assemble(mesh, space, rhs=rhs)
         norms, samples = [], []
         interval = sys.getswitchinterval()
-        for threshold, on_worker in ((0, True), (10**9, False)):
+        for threshold in (0, 10**9):
             monkeypatch.setattr(postprocess_errors, "LIFT_THREAD_MIN_FACETS", threshold)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 sys.setswitchinterval(1e-5)
                 try:
                     exact = lift_exact(mesh, sphere, problem)
+                    assert threshold == 0 or exact.done()  # waited for before the factorization
                     fields = solve_hybrid(system)
-                    if on_worker:
-                        exact.pending.result(timeout=120)
+                    p, u = exact.result(timeout=120)
                 finally:
                     sys.setswitchinterval(interval)
-                assert (exact.pending is not None) == on_worker
                 star = postprocess_neumann(mesh, space, fields, rhs)
                 alt = postprocess_gradient(mesh, space, fields)
                 norms.append(compute_errors(mesh, space, exact, fields, u_star=star, u_star_alt=alt))
             assert caught == []
-            samples.append((exact.p.tobytes(), exact.u.tobytes()))
+            samples.append((p.tobytes(), u.tobytes()))
         assert norms[0] == norms[1]
         assert samples[0] == samples[1]
 
-    def test_worker_error_comes_out_of_compute_errors(self, monkeypatch, sphere, problem, sphere_meshes):
+    @pytest.mark.parametrize("threshold", [0, 10**9])
+    def test_worker_error_comes_out_of_compute_errors(self, monkeypatch, threshold, sphere, problem, sphere_meshes):
+        """Overlapped or waited for at once, a failed lift raises its own error from ``compute_errors``."""
+
         class LiftFailure(RuntimeError):
             pass
 
@@ -241,10 +243,9 @@ class TestExactLift:
 
         mesh = sphere_meshes[8]
         broken = ManufacturedProblem(u=broken_u, p=problem.p, f=problem.f)
-        monkeypatch.setattr(postprocess_errors, "LIFT_THREAD_MIN_FACETS", 0)
+        monkeypatch.setattr(postprocess_errors, "LIFT_THREAD_MIN_FACETS", threshold)
         exact = lift_exact(mesh, sphere, broken)
-        assert exact.pending is not None
-        assert isinstance(exact.pending.exception(timeout=120), LiftFailure)
+        assert isinstance(exact.exception(timeout=120), LiftFailure)
         fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
         with pytest.raises(LiftFailure, match="^scalar undefined at these points$"):
             compute_errors(mesh, mixed_space("rt0"), exact, fields)
@@ -255,7 +256,7 @@ class TestExactLift:
         fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
         exact = lift_exact(mesh, sphere, problem)
         monkeypatch.setattr(postprocess_errors, "ERROR_DEGREE", 8)
-        with pytest.raises(ValueError, match="degree 6"):
+        with pytest.raises(ValueError, match=f"shape \\({mesh.n_triangles}, 16\\) do not match the degree-8 error rule"):
             compute_errors(mesh, space, exact, fields)
 
     def test_samples_of_another_mesh_are_rejected(self, sphere, problem, sphere_meshes):

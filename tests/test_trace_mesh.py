@@ -137,7 +137,7 @@ class TestExtraction:
         bulk = build_bulk_mesh(UNIT_CUBE, 1)
         values = np.ones(8)
         values[0] = -1.0
-        raw = extract_trace_surface(bulk, values)
+        raw = extract_trace_surface(bulk, lambda _: values)
         # every tetrahedron of the cube holds the origin, its lone negative corner
         assert raw.faces.shape == (6, 4) and np.all(raw.faces[:, 3] == -1)
         # one cut point per lattice edge leaving the origin, shared by its tetrahedra
@@ -154,7 +154,7 @@ class TestExtraction:
         bulk = build_bulk_mesh(UNIT_CUBE, 1)
         # negative on the z = 0 face: the paths stepping along z second are cut 2 | 2
         values = np.where(bulk.vertices[:, 2] == 0.0, -1.0, 1.0)
-        raw = extract_trace_surface(bulk, values)
+        raw = extract_trace_surface(bulk, lambda _: values)
         n_minus = (values[bulk.tet_corners(raw.parent_tet)] < 0.0).sum(axis=1)
         is_quad = raw.faces[:, 3] >= 0
         assert np.array_equal(is_quad, n_minus == 2) and is_quad.sum() == 2
@@ -164,11 +164,16 @@ class TestExtraction:
 
     def test_uncut_tet_contributes_nothing(self):
         bulk = build_bulk_mesh(UNIT_CUBE, 1)
-        raw = extract_trace_surface(bulk, np.ones(8))
+        raw = extract_trace_surface(bulk, lambda _: np.ones(8))
         assert len(raw.faces) == 0
         assert raw.vertices.shape == (0, 3) and raw.faces.shape == (0, 4)
         with pytest.raises(RuntimeError, match="empty"):
             bisect_quads(raw)
+
+    @pytest.mark.parametrize("values, message", [(np.ones(7), "one level value"), (np.full(8, np.nan), "finite")])
+    def test_rejects_level_values_it_cannot_cut(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            extract_trace_surface(build_bulk_mesh(UNIT_CUBE, 1), lambda _: values)
 
     def test_vertices_on_interpolated_zero_set(self, sphere):
         """Reconstruct the linear interpolant in a parent element and check
@@ -197,14 +202,6 @@ class TestExtraction:
         mesh1, mesh2 = bisect_quads(raw1, surface=sphere), bisect_quads(raw2, surface=sphere)
         assert np.array_equal(mesh1.triangles, mesh2.triangles)
         assert np.array_equal(mesh1.face_normals, mesh2.face_normals)
-
-    def test_vertex_values_from_file(self, sphere):
-        """Level values given as an array, as read from a file, cut like the callable."""
-        bulk = build_bulk_mesh(DEFAULT_BOX, 6)
-        from_file = extract_trace_surface(bulk, sphere.signed_distance(bulk.vertices))
-        direct = extract_trace_surface(bulk, sphere.signed_distance)
-        assert np.array_equal(from_file.vertices, direct.vertices)
-        assert np.array_equal(from_file.faces, direct.faces)
 
     def test_cut_cubes_only(self, sphere):
         """The cut stays below the size of the full 6 n^3 tetrahedron array."""
