@@ -47,6 +47,5 @@ from .postprocess_errors import (
     postprocess_gradient,
     postprocess_neumann,
 )
-from .cli import StudyConfig, run_study
 
 __version__ = "0.1.0"

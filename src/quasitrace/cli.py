@@ -36,6 +36,8 @@ ERRORS = ("err_p", "err_u", "err_eu", "err_post")
 CSV_COLUMNS = ",".join(
     ["level", "h", "n_tri", "max_angle", "max_abs_d", *ERRORS, *(name.replace("err_", "rate_") for name in ERRORS)]
 )
+# Size of the study.svg canvas in pixels.
+SVG_WIDTH, SVG_HEIGHT = 640, 480
 
 
 @dataclass(frozen=True)
@@ -162,13 +164,13 @@ def report_csv(report: ErrorReport) -> str:
     rates = [report.rates(name) for name in ERRORS]
     lines = [CSV_COLUMNS]
     for i, rec in enumerate(report.records):
-        cells = [rec.level, rec.h, rec.stats.n_triangles, rec.stats.max_interior_angle, rec.stats.max_abs_dist]
+        cells = [rec.level, rec.stats.h, rec.stats.n_triangles, rec.stats.max_interior_angle, rec.stats.max_abs_dist]
         cells += [getattr(rec.errors, name) for name in ERRORS] + [rate[i] for rate in rates]
         lines.append(",".join(map(_fmt, cells)))
     return "\n".join(lines) + "\n"
 
 
-def report_svg(report: ErrorReport, width: int = 640, height: int = 480) -> str:
+def report_svg(report: ErrorReport) -> str:
     """Log-log error plot with reference slopes 1 and 2, no plotting deps."""
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
     series = {name: (color, report.column(name)) for name, color in zip(ERRORS, colors)}
@@ -183,19 +185,19 @@ def report_svg(report: ErrorReport, width: int = 640, height: int = 480) -> str:
     ml, mr, mt, mb = 60, 20, 30, 45
 
     def px(x):
-        return ml + (x - x_lo) / (x_hi - x_lo) * (width - ml - mr)
+        return ml + (x - x_lo) / (x_hi - x_lo) * (SVG_WIDTH - ml - mr)
 
     def py(y):
-        return height - mb - (y - y_lo) / (y_hi - y_lo) * (height - mb - mt)
+        return SVG_HEIGHT - mb - (y - y_lo) / (y_hi - y_lo) * (SVG_HEIGHT - mb - mt)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 10}" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
+        f'<text x="{SVG_WIDTH / 2:.1f}" y="{SVG_HEIGHT - 10}" text-anchor="middle" '
         f'font-size="13">h (log scale), {report.space}</text>',
-        f'<text x="15" y="{height / 2:.1f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 15 {height / 2:.1f})">L2 error (log scale)</text>',
+        f'<text x="15" y="{SVG_HEIGHT / 2:.1f}" font-size="13" text-anchor="middle" '
+        f'transform="rotate(-90 15 {SVG_HEIGHT / 2:.1f})">L2 error (log scale)</text>',
     ]
     # decade grid
     for d in range(int(np.floor(y_lo)), int(np.ceil(y_hi)) + 1):
@@ -213,13 +215,11 @@ def report_svg(report: ErrorReport, width: int = 640, height: int = 480) -> str:
             for h, v in zip(hs, vals)
             if v is not None and v > 0
         )
-        if not pts:
-            continue
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )
         parts.append(
-            f'<text x="{width - mr - 90}" y="{legend_y}" font-size="12" fill="{color}">{name}</text>'
+            f'<text x="{SVG_WIDTH - mr - 90}" y="{legend_y}" font-size="12" fill="{color}">{name}</text>'
         )
         legend_y += 16
     # reference slope triangles anchored near the coarsest level
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
         return 1
     for rec in result.report.records:
         line = (
-            f"level {rec.level}: n={rec.n} h={rec.h:.4g} tris={rec.stats.n_triangles} "
+            f"level {rec.level}: n={rec.n} h={rec.stats.h:.4g} tris={rec.stats.n_triangles} "
             f"max_angle={rec.stats.max_interior_angle:.4f} max|d|={rec.stats.max_abs_dist:.3e}"
         )
         if rec.errors is not None:

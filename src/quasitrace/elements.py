@@ -189,8 +189,6 @@ class AffineMap:
     @classmethod
     def from_triangles(cls, verts: np.ndarray) -> "AffineMap":
         verts = np.asarray(verts, dtype=float)
-        if verts.ndim == 2:
-            verts = verts[None]
         e1 = verts[:, 1] - verts[:, 0]
         e2 = verts[:, 2] - verts[:, 0]
         a = np.stack([e1, e2], axis=-1)

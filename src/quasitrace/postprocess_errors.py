@@ -13,7 +13,9 @@ transfer does not depend on the discrete solution, so it is data:
 ``lift_exact`` samples it once per level and returns a future of the
 samples, and ``compute_errors`` only evaluates the discrete fields against
 them.  The lift runs on a private worker thread; on large meshes the caller
-factors the hybrid system meanwhile, since SuperLU releases the GIL.
+factors the hybrid system meanwhile.  SuperLU releases the GIL while it
+factors but takes it back for each allocation, so the two overlap only as
+long as the lift spends its time in numpy kernels, which release it too.
 """
 
 from __future__ import annotations
@@ -177,10 +179,14 @@ class ErrorNorms:
 LIFT_THREAD_MIN_FACETS = 8192
 
 # One worker: the lift of a level overlaps that level's factorization, and
-# a second lift would only compete with it for the GIL.  The worker calls
-# only module-level functions that callers cannot rebind, and allocates
-# nothing that outlives a facet block: SuperLU stays on the caller's thread,
-# where its factor is returned to the allocator when it is freed.
+# a second lift would only compete with it for the GIL.  The worker stays
+# numpy-bound, because the factorization takes the GIL back for every
+# allocation: at n = 96 (rt0, 2-vCPU VM, median of 5) the factor took 1.30 s
+# alone, 1.32 s beside the lift and 1.40 s (up to 2.16 s) beside a thread
+# running a pure-Python loop.  The worker calls only module-level functions
+# that callers cannot rebind, and allocates nothing that outlives a facet
+# block: SuperLU stays on the caller's thread, where its factor is returned
+# to the allocator when it is freed.
 _LIFT_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="quasitrace-lift")
 
 
@@ -269,10 +275,6 @@ class LevelRecord:
     errors: ErrorNorms | None
     rhs_mean_correction: float | None = None
 
-    @property
-    def h(self) -> float:
-        return self.stats.h
-
 
 def eoc(errors, hs) -> list[float | None]:
     """Observed convergence orders between consecutive levels.
@@ -306,7 +308,7 @@ class ErrorReport:
         return [getattr(r.errors, name) for r in self.records]
 
     def hs(self) -> list[float]:
-        return [r.h for r in self.records]
+        return [r.stats.h for r in self.records]
 
     def rates(self, name: str) -> list[float | None]:
         if len(self.records) < 2:

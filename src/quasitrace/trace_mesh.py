@@ -312,11 +312,7 @@ class TraceMesh:
         return _max_interior_angles(self.corner_points())
 
     @staticmethod
-    def from_arrays(
-        vertices: np.ndarray,
-        triangles: np.ndarray,
-        parent_tet: np.ndarray | None = None,
-    ) -> "TraceMesh":
+    def from_arrays(vertices: np.ndarray, triangles: np.ndarray, parent_tet: np.ndarray) -> "TraceMesh":
         """Wire up a closed, connected, consistently oriented triangle soup.
 
         The vertex order of every triangle is kept and fixes its normal;
@@ -367,8 +363,6 @@ class TraceMesh:
         face_edges = np.empty(3 * n_faces, dtype=int)
         face_edges[pairs] = np.arange(len(pairs))[:, None]
         edge_vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-        if parent_tet is None:
-            parent_tet = np.full(n_faces, -1, dtype=int)
         return TraceMesh(
             vertices=vertices,
             triangles=triangles,
@@ -381,14 +375,14 @@ class TraceMesh:
         )
 
 
-def bisect_quads(raw: RawTraceSurface, surface: SurfaceField | None = None) -> TraceMesh:
+def bisect_quads(raw: RawTraceSurface, surface: SurfaceField) -> TraceMesh:
     """Turn the raw cut polygons into an oriented conforming triangulation.
 
     Polygons keep their order; a quadrilateral becomes two consecutive
     triangles (``split_quads``).  Polygons marked ``inward`` are reversed, so
-    every normal points to the psi > 0 side.  With ``surface`` given, raises
-    ``ValueError`` if the normals point against the surface normal on
-    balance, i.e. if the level function was positive inside.
+    every normal points to the psi > 0 side.  Raises ``ValueError`` if the
+    normals point against the normal of ``surface`` on balance, i.e. if the
+    level function was positive inside.
     """
     is_quad = raw.faces[:, 3] >= 0
     sizes = 1 + is_quad
@@ -400,14 +394,13 @@ def bisect_quads(raw: RawTraceSurface, surface: SurfaceField | None = None) -> T
     inward = np.repeat(raw.inward, sizes)
     tris[inward] = tris[inward][:, [0, 2, 1]]
     mesh = TraceMesh.from_arrays(raw.vertices, tris, parent_tet=np.repeat(raw.parent_tet, sizes))
-    if surface is not None:
-        normals = surface.derivatives(mesh.centroids())[1]
-        flux = np.einsum("f,fi,fi->", mesh.areas(), mesh.face_normals, normals)
-        if flux < 0.0:
-            raise ValueError(
-                "facet normals point against the surface gradient: "
-                "the level function must be positive outside the surface"
-            )
+    normals = surface.derivatives(mesh.centroids())[1]
+    flux = np.einsum("f,fi,fi->", mesh.areas(), mesh.face_normals, normals)
+    if flux < 0.0:
+        raise ValueError(
+            "facet normals point against the surface gradient: "
+            "the level function must be positive outside the surface"
+        )
     return mesh
 
 

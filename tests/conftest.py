@@ -56,7 +56,7 @@ def tet_boundary_mesh() -> TraceMesh:
         [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
     )
     tris = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
-    return TraceMesh.from_arrays(verts, tris)
+    return TraceMesh.from_arrays(verts, tris, parent_tet=np.full(len(tris), -1))
 
 
 def zero_rhs(mesh: TraceMesh) -> RhsField:

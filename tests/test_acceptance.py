@@ -125,7 +125,7 @@ def test_criterion_5_commuting_diagram():
         space = mixed_space(kind)
         for _ in range(count_per_space):
             verts = random_needle(rng, max_aspect=1e4)
-            amap = AffineMap.from_triangles(verts)
+            amap = AffineMap.from_triangles(verts[None])
             quad_coeff = rng.normal(size=(2, 6))
 
             def field(pts):

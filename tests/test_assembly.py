@@ -105,7 +105,7 @@ class TestLocalBlocks:
             space = mixed_space(kind)
             for _ in range(10):
                 verts = random_needle(rng, max_aspect=100.0)
-                amap = AffineMap.from_triangles(verts)
+                amap = AffineMap.from_triangles(verts[None])
                 for k in range(space.n_dofs):
                     coeffs = np.zeros(space.n_dofs)
                     coeffs[k] = 1.0
@@ -122,7 +122,7 @@ class TestLocalBlocks:
         """Degree-4 assembly must agree with a degree-10 quadrature oracle."""
         space = mixed_space("rt0")
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        maps = AffineMap.from_triangles(verts)
+        maps = AffineMap.from_triangles(verts[None])
         for degree in (4, 10):
             pts, wts = triangle_rule(degree)
             bas = space.basis(pts)

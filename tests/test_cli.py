@@ -1,11 +1,16 @@
 """Study driver, CSV/SVG output, and flag handling."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quasitrace
 from quasitrace.cli import CSV_COLUMNS, StudyConfig, main, report_csv, run_study
 
 # SHA-256 of the CSV text of the session studies (n0 = 8, four levels,
@@ -154,6 +159,14 @@ class TestMain:
         blocker.write_text("")
         assert main(["--n0", "4", "--levels", "1", "--out", str(blocker / "sub")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_clean(self):
+        """``python -m quasitrace.cli`` finds no half-imported copy of itself: the package root does not import it."""
+        src = str(Path(quasitrace.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quasitrace.cli", "--help"],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_small_study_runs(self, tmp_path, capsys):
         code = main(["--n0", "4", "--levels", "1", "--out", str(tmp_path)])

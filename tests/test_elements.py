@@ -104,7 +104,7 @@ class TestPushForward:
 
     def test_planar_embedding_copies_components(self):
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        amap = AffineMap.from_triangles(verts)
+        amap = AffineMap.from_triangles(verts[None])
         vals = np.array([[0.3, -0.2], [1.0, 0.5]])
         out = amap.push_vector(vals[None])[0]
         assert np.allclose(out[:, :2], vals, atol=1e-15)
@@ -121,7 +121,7 @@ class TestPushForward:
         space = mixed_space("bdm1")
         for _ in range(20):
             verts = random_needle(rng, max_aspect=1e3)
-            amap = AffineMap.from_triangles(verts)
+            amap = AffineMap.from_triangles(verts[None])
             coeffs = rng.normal(size=6)
             t, w = gauss_01(8)
             for e, (a, b) in enumerate(REF_EDGES):
@@ -148,7 +148,7 @@ class TestInterpolation:
         space = mixed_space("rt0")
         for _ in range(20):
             verts = random_needle(rng)
-            amap = AffineMap.from_triangles(verts)
+            amap = AffineMap.from_triangles(verts[None])
             c = rng.normal(size=2)
             const = amap.A[0] @ c
 
@@ -162,7 +162,7 @@ class TestInterpolation:
         space = mixed_space("bdm1")
         for _ in range(20):
             verts = random_needle(rng)
-            amap = AffineMap.from_triangles(verts)
+            amap = AffineMap.from_triangles(verts[None])
             coeff = rng.normal(size=(2, 3))
             shift = rng.normal(size=2)
 
@@ -185,7 +185,7 @@ class TestInterpolation:
         space = mixed_space(kind)
         for _ in range(60):
             verts = random_needle(rng, max_aspect=1e4)
-            amap = AffineMap.from_triangles(verts)
+            amap = AffineMap.from_triangles(verts[None])
             quad_coeff = rng.normal(size=(2, 6))
 
             def field(pts):

@@ -162,13 +162,13 @@ class TestExtraction:
             assert np.all(face >= 0) and len(np.unique(face)) == 4
             assert len(np.unique(raw.vertices[face], axis=0)) == 4
 
-    def test_uncut_tet_contributes_nothing(self):
+    def test_uncut_tet_contributes_nothing(self, sphere):
         bulk = build_bulk_mesh(UNIT_CUBE, 1)
         raw = extract_trace_surface(bulk, lambda _: np.ones(8))
         assert len(raw.faces) == 0
         assert raw.vertices.shape == (0, 3) and raw.faces.shape == (0, 4)
         with pytest.raises(RuntimeError, match="empty"):
-            bisect_quads(raw)
+            bisect_quads(raw, surface=sphere)
 
     @pytest.mark.parametrize("values, message", [(np.ones(7), "one level value"), (np.full(8, np.nan), "finite")])
     def test_rejects_level_values_it_cannot_cut(self, values, message):
@@ -220,10 +220,6 @@ class TestExtraction:
         raw = extract_trace_surface(bulk, lambda x: -sphere.signed_distance(x))
         with pytest.raises(ValueError, match="positive outside"):
             bisect_quads(raw, surface=sphere)
-        # without a surface to check against, the normals point inward
-        mesh = bisect_quads(raw)
-        cos = np.einsum("fi,fi->f", sphere.derivatives(mesh.centroids())[1], mesh.face_normals)
-        assert cos.max() < 0.0
 
 
 def worst_angle(quad: np.ndarray, split) -> float:
@@ -419,14 +415,14 @@ class TestFromArrays:
     def test_rejects_open_surface(self):
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(RuntimeError):
-            TraceMesh.from_arrays(verts, np.array([[0, 1, 2]]))
+            TraceMesh.from_arrays(verts, np.array([[0, 1, 2]]), parent_tet=np.full(1, -1))
 
     def test_rejects_flipped_facet(self):
         mesh = tet_boundary_mesh()
         tris = mesh.triangles.copy()
         tris[2] = tris[2, [0, 2, 1]]
         with pytest.raises(RuntimeError, match="orientation"):
-            TraceMesh.from_arrays(mesh.vertices, tris)
+            TraceMesh.from_arrays(mesh.vertices, tris, parent_tet=np.full(len(tris), -1))
 
     def test_rejects_non_manifold_edge(self):
         mesh = tet_boundary_mesh()
@@ -434,14 +430,14 @@ class TestFromArrays:
         verts = np.vstack([mesh.vertices, [[3.0, 0.0, 0.0]]])
         tris = np.vstack([mesh.triangles, [[1, 0, 4]]])
         with pytest.raises(RuntimeError, match="non-manifold"):
-            TraceMesh.from_arrays(verts, tris)
+            TraceMesh.from_arrays(verts, tris, parent_tet=np.full(len(tris), -1))
 
     def test_rejects_disjoint_tetrahedra(self):
         mesh = tet_boundary_mesh()
         verts = np.vstack([mesh.vertices, mesh.vertices + 5.0])
         tris = np.vstack([mesh.triangles, mesh.triangles + 4])
         with pytest.raises(RuntimeError, match="not connected"):
-            TraceMesh.from_arrays(verts, tris)
+            TraceMesh.from_arrays(verts, tris, parent_tet=np.full(len(tris), -1))
 
 
 class TestOffExport:
