@@ -47,18 +47,6 @@ from .elements import (
 from .geometry import SurfaceField, area_ratio, frame_blocks
 from .trace_mesh import TraceMesh
 
-__all__ = [
-    "RhsField",
-    "build_rhs",
-    "LocalBlocks",
-    "assemble_local_blocks",
-    "HybridSystem",
-    "condense_and_assemble",
-    "SolutionFields",
-    "solve_hybrid",
-    "solve_saddle_point",
-]
-
 # Relative size of the shift that makes the saddle-point zero block negative
 # definite, in units of the largest diagonal entry of the vector mass matrix.
 SADDLE_REGULARIZATION = 1e-12

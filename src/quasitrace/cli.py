@@ -29,8 +29,6 @@ from .postprocess_errors import (
 )
 from .trace_mesh import bisect_quads, build_bulk_mesh, extract_trace_surface, mesh_stats, write_off
 
-__all__ = ["StudyConfig", "StudyResult", "run_study", "main"]
-
 # The error norms a study reports, in column, plot and log order.
 ERRORS = ("err_p", "err_u", "err_eu", "err_post")
 CSV_COLUMNS = ",".join(
@@ -61,6 +59,8 @@ class StudyConfig:
             raise ValueError("initial subdivision count must be at least 4")
         if self.levels < 1:
             raise ValueError("need at least one level")
+        if self.export_mesh and not self.output_dir:
+            raise ValueError("export_mesh needs an output_dir")
         box = np.asarray(self.box, dtype=float).reshape(3, 2)
         off = np.asarray(self.seed_offset, dtype=float)
         if off.shape != (3,):
@@ -138,8 +138,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     for level in range(config.levels):
         n = config.n0 * 2**level
         mesh, record = _run_level(config, surface, problem, space, n, level)
-        report.add(record)
-        if out is not None and config.export_mesh:
+        report.records.append(record)
+        if config.export_mesh:
             path = out / f"mesh_level{level}.off"
             write_off(mesh, path)
             files.append(path)

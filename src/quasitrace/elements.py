@@ -27,27 +27,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = [
-    "REF_VERTICES",
-    "REF_EDGES",
-    "REF_EDGE_NORMALS",
-    "REF_EDGE_LENGTHS",
-    "ASSEMBLY_DEGREE",
-    "ERROR_DEGREE",
-    "EDGE_GAUSS_POINTS",
-    "triangle_rule",
-    "gauss_01",
-    "MixedSpace",
-    "mixed_space",
-    "AffineMap",
-    "EdgeDofs",
-    "edge_dofs",
-    "local_vector_coefficients",
-    "global_vector_coefficients",
-    "eval_vector",
-    "eval_p1",
-]
-
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # Local edge k is opposite vertex k, directed along the counterclockwise
 # boundary: (1->2), (2->0), (0->1).
@@ -92,7 +71,8 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def _edge_points(edge: int, t: np.ndarray) -> np.ndarray:
+def edge_points(edge: int, t: np.ndarray) -> np.ndarray:
+    """Points at parameters ``t`` along reference edge ``edge``, from its first vertex to its second."""
     a, b = REF_EDGES[edge]
     return (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
 
@@ -137,7 +117,7 @@ class MixedSpace:
         dof = np.empty((self.n_dofs, self.n_dofs))
         t, w = gauss_01(6)
         for e in range(3):
-            pts = _edge_points(e, t)
+            pts = edge_points(e, t)
             gen = self._generators(pts)                       # (G, q, 2)
             flux = gen @ REF_EDGE_NORMALS[e]                  # (G, q)
             m0 = REF_EDGE_LENGTHS[e] * (flux @ w)

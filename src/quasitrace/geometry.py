@@ -32,19 +32,6 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = [
-    "SurfaceField",
-    "Sphere",
-    "TangentFrame",
-    "FACET_BLOCK",
-    "facet_slices",
-    "frame_at",
-    "point_blocks",
-    "frame_blocks",
-    "area_ratio",
-    "piola_from_surface",
-]
-
 
 class SurfaceField:
     """Closed surface given through its signed distance function.

@@ -32,10 +32,9 @@ from .elements import (
     ERROR_DEGREE,
     AffineMap,
     MixedSpace,
-    REF_EDGES,
-    REF_VERTICES,
     REF_EDGE_LENGTHS,
     REF_EDGE_NORMALS,
+    edge_points,
     eval_p1,
     eval_vector,
     gauss_01,
@@ -44,19 +43,6 @@ from .elements import (
 from .geometry import SurfaceField, facet_slices, frame_blocks, piola_from_surface
 from .trace_mesh import TraceMesh, MeshStats
 from .assembly import RhsField, SolutionFields
-
-__all__ = [
-    "ManufacturedProblem",
-    "manufactured_sphere",
-    "postprocess_neumann",
-    "postprocess_gradient",
-    "lift_exact",
-    "compute_errors",
-    "ErrorNorms",
-    "LevelRecord",
-    "ErrorReport",
-    "eoc",
-]
 
 # Mean-free linear basis on the reference triangle: barycentric coordinates
 # of the two non-origin vertices, shifted by their mean.  Vertex values and
@@ -136,8 +122,8 @@ def postprocess_neumann(mesh: TraceMesh, space: MixedSpace, fields: SolutionFiel
     # the edge integrals reduce to reference-edge quadrature.
     t, w = gauss_01(EDGE_GAUSS_POINTS)
     bas_ref = space.basis
-    for e, (a, b) in enumerate(REF_EDGES):
-        epts = (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
+    for e in range(3):
+        epts = edge_points(e, t)
         phi = bas_ref(epts)                                              # (nq, q, 2)
         flux = np.einsum("kqd,d->kq", phi, REF_EDGE_NORMALS[e])
         ph_flux = np.einsum("fk,kq->fq", fields.p_local, flux)
@@ -166,8 +152,8 @@ class ErrorNorms:
     err_p: float
     err_u: float
     err_eu: float
-    err_post: float | None = None
-    err_post_alt: float | None = None
+    err_post: float | None
+    err_post_alt: float | None
 
 
 # On meshes with fewer facets, ``lift_exact`` waits for the lift before it
@@ -300,9 +286,6 @@ class ErrorReport:
 
     space: str
     records: list[LevelRecord] = field(default_factory=list)
-
-    def add(self, record: LevelRecord) -> None:
-        self.records.append(record)
 
     def column(self, name: str) -> list[float]:
         return [getattr(r.errors, name) for r in self.records]

@@ -34,19 +34,6 @@ import numpy as np
 from .elements import ASSEMBLY_DEGREE, AffineMap, triangle_rule
 from .geometry import SurfaceField, point_blocks
 
-__all__ = [
-    "BulkMesh",
-    "build_bulk_mesh",
-    "RawTraceSurface",
-    "extract_trace_surface",
-    "split_quads",
-    "bisect_quads",
-    "TraceMesh",
-    "MeshStats",
-    "mesh_stats",
-    "write_off",
-]
-
 # Vertex values closer to zero than this (relative to the bulk mesh size)
 # are nudged positive so every tetrahedron has a strict sign pattern and no
 # extracted face degenerates to zero area.  The shift bounds the aspect

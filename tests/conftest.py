@@ -5,17 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quasitrace import (
-    Sphere,
-    TraceMesh,
-    bisect_quads,
-    build_bulk_mesh,
-    extract_trace_surface,
-)
 from quasitrace.assembly import RhsField
 from quasitrace.cli import StudyConfig, run_study
 from quasitrace.elements import ASSEMBLY_DEGREE, AffineMap, eval_vector, triangle_rule
+from quasitrace.geometry import Sphere
 from quasitrace.postprocess_errors import manufactured_sphere
+from quasitrace.trace_mesh import TraceMesh, bisect_quads, build_bulk_mesh, extract_trace_surface
 
 from oracle import interpolate_hdiv, mesh_diagnostics
 

@@ -4,13 +4,16 @@ Each test prints one pass/fail line (run pytest with -s to see them all).
 Criteria 1-3 share the two full four-level sphere studies (n = 8 to 64)
 provided by session fixtures; the remaining criteria use the smaller shared
 meshes.  Criteria 4 and 7 also read the oracle's geometric-error sups on
-the rt0 study's four meshes, rebuilt once per session.
+the rt0 study's four meshes, rebuilt once per session.  A last test
+repeats criteria 1-3 on three-level studies of their own at seeded lattice
+offsets, with the rates taken against the bulk mesh size as well.
 """
 
 import numpy as np
 import pytest
 
 from quasitrace.assembly import build_rhs, condense_and_assemble, solve_hybrid, solve_saddle_point
+from quasitrace.cli import StudyConfig, run_study
 from quasitrace.elements import mixed_space
 from quasitrace.geometry import frame_at, piola_from_surface
 from quasitrace.postprocess_errors import compute_errors, eoc, lift_exact, postprocess_neumann
@@ -33,20 +36,25 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number} ({name}): {detail}"
 
 
+# Criteria 1-2's bounds on the final rates.
+RATE_BOUNDS = {
+    "rt0": {"err_p": 0.85, "err_u": 0.85, "err_eu": 1.7, "err_post": 1.7},
+    "bdm1": {"err_p": 1.7, "err_u": 0.85, "err_eu": 1.7, "err_post": 1.7},
+}
+
+
 def final_rates(study):
     rates = {name: study.report.rates(name)[-1] for name in ("err_p", "err_u", "err_eu", "err_post")}
     return rates
 
 
+def meets_bounds(rates, kind):
+    return all(rates[name] >= bound for name, bound in RATE_BOUNDS[kind].items())
+
+
 def test_criterion_1_rt0_convergence(study_rt0):
     rates = final_rates(study_rt0)
-    ok = (
-        rates["err_p"] >= 0.85
-        and rates["err_u"] >= 0.85
-        and rates["err_eu"] >= 1.7
-        and rates["err_post"] >= 1.7
-        and study_rt0.seconds < 300.0
-    )
+    ok = meets_bounds(rates, "rt0") and study_rt0.seconds < 300.0
     detail = (
         f"rates p={rates['err_p']:.2f} u={rates['err_u']:.2f} "
         f"eu={rates['err_eu']:.2f} post={rates['err_post']:.2f}, {study_rt0.seconds:.0f}s"
@@ -56,12 +64,7 @@ def test_criterion_1_rt0_convergence(study_rt0):
 
 def test_criterion_2_bdm1_convergence(study_bdm1):
     rates = final_rates(study_bdm1)
-    ok = (
-        rates["err_p"] >= 1.7
-        and rates["err_u"] >= 0.85
-        and rates["err_eu"] >= 1.7
-        and rates["err_post"] >= 1.7
-    )
+    ok = meets_bounds(rates, "bdm1")
     detail = (
         f"rates p={rates['err_p']:.2f} u={rates['err_u']:.2f} "
         f"eu={rates['err_eu']:.2f} post={rates['err_post']:.2f}"
@@ -219,3 +222,33 @@ def test_criterion_8_postprocessing_with_exact_data(kind, sphere, problem, spher
     rate = eoc(errs, hs)[-1]
     ok = rate >= 1.9
     report(8, f"postprocessing geometric error ({kind})", ok, f"final rate {rate:.2f}")
+
+
+# Lattice offsets within one coarse cell (box width 4, n0 = 12), fixed before the first run.
+LATTICE_OFFSETS = (np.random.default_rng(2309).uniform(0.0, 1.0, size=(3, 3)) * (4.0 / 12)).tolist()
+
+
+@pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+@pytest.mark.parametrize("offset", LATTICE_OFFSETS)
+def test_rates_in_the_bulk_mesh_size_under_lattice_offsets(kind, offset):
+    """The paper's optimal rates hold against the bulk mesh size, wherever the lattice sits.
+
+    Criteria 1-3 on a three-level study (n = 12 to 48) on a shifted lattice:
+    the final rates meet criteria 1-2's bounds against the facet h and
+    against ``h_bulk = |box widths / n|``, and ``err_eu / err_u`` decreases.
+    """
+    config = StudyConfig(space=kind, postprocess="neumann", n0=12, levels=3, seed_offset=tuple(offset))
+    study = run_study(config)
+    records = study.report.records
+    widths = np.ptp(config.shifted_box(), axis=1)
+    h_bulk = [float(np.linalg.norm(widths / rec.n)) for rec in records]
+    facet = final_rates(study)
+    bulk = {name: eoc(study.report.column(name), h_bulk)[-1] for name in facet}
+    ratios = [rec.errors.err_eu / rec.errors.err_u for rec in records]
+    ok = meets_bounds(facet, kind) and meets_bounds(bulk, kind) and all(a > b for a, b in zip(ratios, ratios[1:]))
+    detail = (
+        f"offset {offset}: facet-h rates {[f'{r:.3f}' for r in facet.values()]}, "
+        f"h_bulk rates {[f'{r:.3f}' for r in bulk.values()]}, ratios {[f'{r:.3f}' for r in ratios]}"
+    )
+    print(f"[bulk rates] {kind}: {'PASS' if ok else 'FAIL'} ({detail})")
+    assert ok, detail

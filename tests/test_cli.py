@@ -43,6 +43,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             StudyConfig(space="rt1")
 
+    def test_rejects_mesh_export_without_output_dir(self):
+        # run_study would write no mesh and say nothing
+        with pytest.raises(ValueError, match="^export_mesh needs an output_dir$"):
+            StudyConfig(export_mesh=True)
+
     @pytest.mark.parametrize(
         "name, value",
         [

@@ -2,7 +2,8 @@
 and signs the vector edge moments, the geometry kernels stay in closed
 form, the facet rule is mapped onto physical points one facet block at a
 time, sparse factors are made and applied in fixed places, every public
-name has a caller in the pipeline or the benchmark, and every dataclass
+name has a caller in the pipeline or the benchmark, the package root
+re-exports only what the benchmark imports from it, and every dataclass
 field has a reader there."""
 
 import ast
@@ -231,6 +232,39 @@ def test_check_sees_an_uncalled_name(tmp_path):
     caller = tmp_path / "bench.py"
     caller.write_text("from mod import frame_blocks, orphan\n\nframe_blocks(1)\n")
     assert uncalled_names([source], [caller]) == ["mod.py: Map.to_reference", "mod.py: orphan"]
+
+
+def root_surplus(root_source: str, caller_sources: list[str]) -> list[str]:
+    """Names the package root imports that no caller imports ``from quasitrace``."""
+    wanted = {
+        alias.name
+        for source in caller_sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "quasitrace"
+        for alias in node.names
+    }
+    bound = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.parse(root_source).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    return [name for name in bound if name not in wanted]
+
+
+def test_root_exports_only_what_perfbench_imports():
+    """The package root is no second home for a name: it re-exports what perfbench imports from it, no more."""
+    callers = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert root_surplus((PACKAGE / "__init__.py").read_text(), callers) == []
+
+
+def test_check_sees_a_surplus_root_name():
+    root = '"""Doc."""\n\nfrom .geometry import Sphere, frame_at\nfrom .elements import mixed_space as space\nimport numpy\n'
+    callers = [
+        "import quasitrace.cli as cli\nfrom quasitrace import Sphere\n",
+        "from quasitrace.geometry import frame_at\nfrom quasitrace import space\n",
+    ]
+    assert root_surplus(root, callers) == ["frame_at", "numpy"]
 
 
 def is_dataclass_decorator(node: ast.expr) -> bool:
