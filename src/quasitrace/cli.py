@@ -8,6 +8,7 @@ plus a dependency-free log-log SVG plot.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -36,13 +37,18 @@ CSV_COLUMNS = ",".join(
 )
 # Size of the study.svg canvas in pixels.
 SVG_WIDTH, SVG_HEIGHT = 640, 480
+SPACES = ("rt0", "bdm1")
+# The scalars each postprocess variant computes, in err_post, err_post_alt order.
+POSTPROCESS_SCALARS = {"neumann": ("neumann",), "gradient": ("gradient",), "both": ("neumann", "gradient")}
 
 
 @dataclass(frozen=True)
 class StudyConfig:
+    """One refinement study; the command line takes its defaults from here."""
+
     space: str = "rt0"
     postprocess: str = "neumann"
-    box: tuple = ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0))
+    box: tuple = (-2.0, 2.0, -2.0, 2.0, -2.0, 2.0)
     n0: int = 8
     levels: int = 4
     seed_offset: tuple = (0.0, 0.0, 0.0)
@@ -51,17 +57,22 @@ class StudyConfig:
     check_mesh_only: bool = False
 
     def __post_init__(self):
-        if self.space not in ("rt0", "bdm1"):
+        if self.space not in SPACES:
             raise ValueError(f"unknown space '{self.space}'")
-        if self.postprocess not in ("neumann", "gradient", "both"):
+        if self.postprocess not in POSTPROCESS_SCALARS:
             raise ValueError(f"unknown postprocess variant '{self.postprocess}'")
-        if self.n0 < 4:
-            raise ValueError("initial subdivision count must be at least 4")
-        if self.levels < 1:
-            raise ValueError("need at least one level")
+        for name, least in (("n0", 4), ("levels", 1)):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
         if self.export_mesh and not self.output_dir:
             raise ValueError("export_mesh needs an output_dir")
-        box = np.asarray(self.box, dtype=float).reshape(3, 2)
+        box = np.asarray(self.box, dtype=float)
+        if box.size != 6:
+            raise ValueError("box needs six bounds")
         off = np.asarray(self.seed_offset, dtype=float)
         if off.shape != (3,):
             raise ValueError("seed offset needs three components")
@@ -69,8 +80,7 @@ class StudyConfig:
         for name, values in (("box", box), ("seed_offset", off)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite")
-        lo = box[:, 0] + off
-        hi = box[:, 1] + off
+        lo, hi = self.shifted_box().T
         if np.any(lo > -1.5) or np.any(hi < 1.5):
             raise ValueError("box must contain the unit sphere with margin at least 0.5")
 
@@ -101,25 +111,21 @@ def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int)
         spacing = np.ptp(config.shifted_box(), axis=1).max() / n
         remedy = "use a larger n0 or a smaller box"
         raise ValueError(f"level {level} (n = {n}, lattice spacing {spacing:.3g}): {exc}; {remedy}") from exc
-    if config.check_mesh_only:
-        return mesh, LevelRecord(level=level, n=n, stats=stats, errors=None)
-
-    system = condense_and_assemble(mesh, space, rhs=rhs)
-    # Large meshes are lifted on a worker thread while this thread factors
-    # the system; compute_errors waits for the samples.
-    exact = lift_exact(mesh, surface, problem)
-    fields = solve_hybrid(system)
-    del system  # the local inverses are not needed past the solve
-    u_star = u_star_alt = None
-    if config.postprocess in ("neumann", "both"):
-        u_star = postprocess_neumann(mesh, space, fields, rhs)
-    if config.postprocess in ("gradient", "both"):
-        alt = postprocess_gradient(mesh, space, fields)
-        if config.postprocess == "gradient":
-            u_star = alt
-        else:
-            u_star_alt = alt
-    errors = compute_errors(mesh, space, exact, fields, u_star=u_star, u_star_alt=u_star_alt)
+    errors = None
+    if not config.check_mesh_only:
+        system = condense_and_assemble(mesh, space, rhs=rhs)
+        # Large meshes are lifted on a worker thread while this thread factors
+        # the system; compute_errors waits for the samples.
+        exact = lift_exact(mesh, surface, problem)
+        fields = solve_hybrid(system)
+        del system  # the local inverses are not needed past the solve
+        # called by their global names, which perfbench rebinds to time them
+        u_stars = [
+            postprocess_neumann(mesh, space, fields, rhs) if scalar == "neumann"
+            else postprocess_gradient(mesh, space, fields)
+            for scalar in POSTPROCESS_SCALARS[config.postprocess]
+        ]
+        errors = compute_errors(mesh, space, exact, fields, *u_stars)
     return mesh, LevelRecord(level=level, n=n, stats=stats, errors=errors, rhs_mean_correction=rhs.mean_correction)
 
 
@@ -176,7 +182,7 @@ def report_svg(report: ErrorReport) -> str:
     series = {name: (color, report.column(name)) for name, color in zip(ERRORS, colors)}
     hs = report.hs()
     xs = np.log10(hs)
-    all_vals = [v for _, vals in series.values() for v in vals if v is not None and v > 0]
+    all_vals = [v for _, vals in series.values() for v in vals if v > 0]
     ys_min, ys_max = np.log10(min(all_vals)), np.log10(max(all_vals))
     x_min, x_max = min(xs), max(xs)
     pad = 0.15
@@ -213,7 +219,7 @@ def report_svg(report: ErrorReport) -> str:
         pts = " ".join(
             f"{px(np.log10(h)):.2f},{py(np.log10(v)):.2f}"
             for h, v in zip(hs, vals)
-            if v is not None and v > 0
+            if v > 0
         )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
@@ -242,17 +248,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="quasitrace",
         description="Mixed-method convergence study on a level-set sphere mesh.",
     )
-    parser.add_argument("--space", choices=("rt0", "bdm1"), default="rt0")
-    parser.add_argument("--postprocess", choices=("neumann", "gradient", "both"), default="neumann")
-    parser.add_argument("--n0", type=int, default=8, help="initial subdivisions per axis")
-    parser.add_argument("--levels", type=int, default=4)
-    parser.add_argument(
-        "--box", type=float, nargs=6, metavar=("X0", "X1", "Y0", "Y1", "Z0", "Z1"),
-        default=(-2.0, 2.0, -2.0, 2.0, -2.0, 2.0),
-    )
-    parser.add_argument("--seed-offset", type=float, nargs=3, default=(0.0, 0.0, 0.0),
+    parser.add_argument("--space", choices=SPACES, default=StudyConfig.space)
+    parser.add_argument("--postprocess", choices=POSTPROCESS_SCALARS, default=StudyConfig.postprocess)
+    parser.add_argument("--n0", type=int, default=StudyConfig.n0, help="initial subdivisions per axis")
+    parser.add_argument("--levels", type=int, default=StudyConfig.levels)
+    parser.add_argument("--box", type=float, nargs=6, metavar=("X0", "X1", "Y0", "Y1", "Z0", "Z1"),
+                        default=StudyConfig.box)
+    parser.add_argument("--seed-offset", type=float, nargs=3, default=StudyConfig.seed_offset,
                         metavar=("DX", "DY", "DZ"), help="shift of the background lattice")
-    parser.add_argument("--out", type=str, default=".", help="output directory")
+    parser.add_argument("--out", dest="output_dir", metavar="OUT", default=".", help="output directory")
     parser.add_argument("--export-mesh", action="store_true", help="write an OFF file per level")
     parser.add_argument("--check-mesh-only", action="store_true",
                         help="build and check meshes, skip the solves")
@@ -262,17 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = StudyConfig(
-            space=args.space,
-            postprocess=args.postprocess,
-            box=tuple((args.box[2 * i], args.box[2 * i + 1]) for i in range(3)),
-            n0=args.n0,
-            levels=args.levels,
-            seed_offset=tuple(args.seed_offset),
-            output_dir=args.out,
-            export_mesh=args.export_mesh,
-            check_mesh_only=args.check_mesh_only,
-        )
+        config = StudyConfig(**dict(vars(args), box=tuple(args.box), seed_offset=tuple(args.seed_offset)))
         result = run_study(config)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

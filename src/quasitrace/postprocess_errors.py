@@ -152,7 +152,7 @@ class ErrorNorms:
     err_p: float
     err_u: float
     err_eu: float
-    err_post: float | None
+    err_post: float
     err_post_alt: float | None
 
 
@@ -209,11 +209,13 @@ def compute_errors(
     space: MixedSpace,
     exact: Future,
     fields: SolutionFields,
-    u_star: np.ndarray | None = None,
+    u_star: np.ndarray,
     u_star_alt: np.ndarray | None = None,
 ) -> ErrorNorms:
     """L2 error norms over the facet mesh on the error rule (degree ``ERROR_DEGREE``).
 
+    ``u_star`` is the postprocessed scalar whose error is ``err_post``;
+    ``u_star_alt``, if given, a second one for ``err_post_alt``.
     ``exact`` is the future ``lift_exact`` returned for this mesh.  Waits
     for it and re-raises a lift error; samples taken on another rule or
     another number of facets raise ``ValueError``.
@@ -240,14 +242,10 @@ def compute_errors(
     areas = 0.5 * maps.jac
     err_eu = math.sqrt(float((areas * (u_proj - fields.u) ** 2).sum()))
 
-    err_post = None
-    if u_star is not None:
-        star = eval_p1(u_star, pts)
-        err_post = math.sqrt(float((cell * (u_lift - star) ** 2).sum()))
-    err_post_alt = None
-    if u_star_alt is not None:
-        star = eval_p1(u_star_alt, pts)
-        err_post_alt = math.sqrt(float((cell * (u_lift - star) ** 2).sum()))
+    err_post, err_post_alt = (
+        None if star is None else math.sqrt(float((cell * (u_lift - eval_p1(star, pts)) ** 2).sum()))
+        for star in (u_star, u_star_alt)
+    )
     return ErrorNorms(err_p=err_p, err_u=err_u, err_eu=err_eu, err_post=err_post, err_post_alt=err_post_alt)
 
 
@@ -259,7 +257,7 @@ class LevelRecord:
     n: int
     stats: MeshStats
     errors: ErrorNorms | None
-    rhs_mean_correction: float | None = None
+    rhs_mean_correction: float
 
 
 def eoc(errors, hs) -> list[float | None]:

@@ -7,7 +7,7 @@ import pytest
 
 from quasitrace.assembly import RhsField
 from quasitrace.cli import StudyConfig, run_study
-from quasitrace.elements import ASSEMBLY_DEGREE, AffineMap, eval_vector, triangle_rule
+from quasitrace.elements import ASSEMBLY_DEGREE, eval_vector, triangle_rule
 from quasitrace.geometry import Sphere
 from quasitrace.postprocess_errors import manufactured_sphere
 from quasitrace.trace_mesh import TraceMesh, bisect_quads, build_bulk_mesh, extract_trace_surface
@@ -94,7 +94,7 @@ def interpolate_facet(space, verts, field) -> np.ndarray:
 
 
 def l2_vector_diff(mesh: TraceMesh, space, coeffs_a, coeffs_b, degree: int = 6) -> float:
-    maps = AffineMap.from_triangles(mesh.corner_points())
+    maps = mesh.maps
     pts, wts = triangle_rule(degree)
     cell = wts[None, :] * maps.jac[:, None]
     dv = eval_vector(maps, space, np.asarray(coeffs_a) - np.asarray(coeffs_b), pts)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import quasitrace
-from quasitrace.cli import CSV_COLUMNS, StudyConfig, main, report_csv, run_study
+import quasitrace.cli as cli
+from quasitrace.cli import CSV_COLUMNS, StudyConfig, StudyResult, main, report_csv, run_study
+from quasitrace.postprocess_errors import ErrorReport
 
 # SHA-256 of the CSV text of the session studies (n0 = 8, four levels,
 # neumann postprocessing).  A refactor that keeps the numerics must keep
@@ -42,6 +44,21 @@ class TestConfigValidation:
     def test_rejects_unknown_space(self):
         with pytest.raises(ValueError):
             StudyConfig(space="rt1")
+
+    @pytest.mark.parametrize("name", ["n0", "levels"])
+    def test_rejects_a_float_count(self, name):
+        # run_study would fail later with a TypeError from range or lattice sizes
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            StudyConfig(**{name: 8.0})
+
+    def test_accepts_numpy_integer_counts(self):
+        config = StudyConfig(n0=np.int64(8), levels=np.int32(2))
+        assert (config.n0, config.levels) == (8, 2)
+
+    @pytest.mark.parametrize("box", [(-2.0, 2.0, -2.0, 2.0), ((-2.0, 2.0),) * 4])
+    def test_rejects_a_box_without_six_bounds(self, box):
+        with pytest.raises(ValueError, match="^box needs six bounds$"):
+            StudyConfig(box=box)
 
     def test_rejects_mesh_export_without_output_dir(self):
         # run_study would write no mesh and say nothing
@@ -96,6 +113,15 @@ class TestRunStudy:
         assert result.report.records[0].errors is None
         assert not (tmp_path / "study.csv").exists()
 
+    def test_check_mesh_only_keeps_the_mean_correction(self):
+        """Both modes sample the load, so both records carry its mean correction."""
+        corrections = [
+            run_study(StudyConfig(n0=4, levels=1, check_mesh_only=check_mesh_only)).report.records[0].rhs_mean_correction
+            for check_mesh_only in (True, False)
+        ]
+        assert corrections[0] is not None
+        assert corrections[0] == corrections[1]
+
     @pytest.mark.parametrize("check_mesh_only", [True, False])
     def test_rejects_a_mesh_outside_the_tube(self, check_mesh_only):
         """A wide box on a coarse lattice leaves facet points beyond the tube the
@@ -146,6 +172,17 @@ class TestRunStudy:
 
 
 class TestMain:
+    def test_defaults_come_from_study_config(self, monkeypatch, capsys):
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            return StudyResult(report=ErrorReport(space=config.space), seconds=0.0)
+
+        monkeypatch.setattr(cli, "run_study", record)
+        assert main([]) == 0
+        assert configs == [StudyConfig(output_dir=".")]
+
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--space", "nonsense"])

@@ -136,7 +136,8 @@ class TestErrorNorms:
         mesh = sphere_meshes[8]
         space = mixed_space("rt0")
         fields = injected_exact_fields(mesh, sphere, space, problem)
-        errs = compute_errors(mesh, space, lift_exact(mesh, sphere, problem), fields)
+        star = postprocess_gradient(mesh, space, fields)
+        errs = compute_errors(mesh, space, lift_exact(mesh, sphere, problem), fields, star)
         assert errs.err_eu < 1e-12
 
     def test_zero_solution_of_zero_problem(self, sphere, sphere_meshes):
@@ -246,24 +247,29 @@ class TestExactLift:
         monkeypatch.setattr(postprocess_errors, "LIFT_THREAD_MIN_FACETS", threshold)
         exact = lift_exact(mesh, sphere, broken)
         assert isinstance(exact.exception(timeout=120), LiftFailure)
+        space = mixed_space("rt0")
         fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
+        star = postprocess_gradient(mesh, space, fields)
         with pytest.raises(LiftFailure, match="^scalar undefined at these points$"):
-            compute_errors(mesh, mixed_space("rt0"), exact, fields)
+            compute_errors(mesh, space, exact, fields, star)
 
     def test_samples_of_another_rule_are_rejected(self, monkeypatch, sphere, problem, sphere_meshes):
         mesh = sphere_meshes[8]
         space = mixed_space("rt0")
         fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
+        star = postprocess_gradient(mesh, space, fields)
         exact = lift_exact(mesh, sphere, problem)
         monkeypatch.setattr(postprocess_errors, "ERROR_DEGREE", 8)
         with pytest.raises(ValueError, match=f"shape \\({mesh.n_triangles}, 16\\) do not match the degree-8 error rule"):
-            compute_errors(mesh, space, exact, fields)
+            compute_errors(mesh, space, exact, fields, star)
 
     def test_samples_of_another_mesh_are_rejected(self, sphere, problem, sphere_meshes):
         mesh = sphere_meshes[16]
+        space = mixed_space("rt0")
         fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
+        star = postprocess_gradient(mesh, space, fields)
         with pytest.raises(ValueError, match="facets"):
-            compute_errors(mesh, mixed_space("rt0"), lift_exact(sphere_meshes[8], sphere, problem), fields)
+            compute_errors(mesh, space, lift_exact(sphere_meshes[8], sphere, problem), fields, star)
 
 
 class TestEoc:
