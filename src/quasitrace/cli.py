@@ -11,13 +11,13 @@ import argparse
 import operator
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .assembly import build_rhs, condense_and_assemble, solve_hybrid
-from .elements import mixed_space
+from .elements import GENERATOR_TABLES, mixed_space
 from .geometry import Sphere
 from .postprocess_errors import (
     ErrorReport,
@@ -37,7 +37,7 @@ CSV_COLUMNS = ",".join(
 )
 # Size of the study.svg canvas in pixels.
 SVG_WIDTH, SVG_HEIGHT = 640, 480
-SPACES = ("rt0", "bdm1")
+SPACES = tuple(GENERATOR_TABLES)
 # The scalars each postprocess variant computes, in err_post, err_post_alt order.
 POSTPROCESS_SCALARS = {"neumann": ("neumann",), "gradient": ("gradient",), "both": ("neumann", "gradient")}
 
@@ -93,7 +93,7 @@ class StudyConfig:
 class StudyResult:
     report: ErrorReport
     seconds: float
-    files: list = field(default_factory=list)
+    files: list
 
 
 def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int):

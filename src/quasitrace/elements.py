@@ -13,10 +13,10 @@ facet-local and global coefficients goes through it.
 
 Physical facets are images of the reference triangle under affine maps with
 a 3x2 derivative; vector fields are pushed with the flux-preserving scaling
-A / jac, scalars by plain composition.  A mesh builds its affine maps once
-(``TraceMesh.maps``), and the physical points of a triangle rule are formed
-one facet block at a time (``geometry.point_blocks``), never for a whole
-mesh.
+A / jac, scalars by plain composition.  A mesh builds its affine maps once,
+with its other arrays (``TraceMesh.from_arrays``), and the physical points
+of a triangle rule are formed one facet block at a time
+(``geometry.point_blocks``), never for a whole mesh.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def edge_points(edge: int, t: np.ndarray) -> np.ndarray:
 # Generating sets of the H(div) elements, one table c (G, 3, 2) per space:
 # generator g is the vector field c[g, 0] + c[g, 1] x + c[g, 2] y on the
 # reference triangle, so its divergence is c[g, 1, 0] + c[g, 2, 1].
-_GENERATOR_TABLES = {
+GENERATOR_TABLES = {
     # (1, 0), (0, 1), (x, y)
     "rt0": np.array(
         [[[1, 0], [0, 0], [0, 0]],
@@ -112,9 +112,7 @@ class MixedSpace:
     """
 
     def __init__(self, name: str):
-        if name not in _GENERATOR_TABLES:
-            raise ValueError(f"unknown vector element '{name}'")
-        self._table = _GENERATOR_TABLES[name]                 # (G, 3, 2)
+        self._table = GENERATOR_TABLES[name]                  # (G, 3, 2)
         self.n_dofs = len(self._table)
         self.edge_dofs = self.n_dofs // 3
         dof = np.empty((self.n_dofs, self.n_dofs))
@@ -179,7 +177,9 @@ class AffineMap:
         # det(A^T A) cancels catastrophically on needle facets; the cross
         # product gives the same area Jacobian stably.
         jac = np.linalg.norm(np.cross(e1, e2), axis=-1)
-        if np.any(jac <= 0.0) or not np.all(np.isfinite(jac)):
+        if not np.all(np.isfinite(jac)):
+            raise ValueError("non-finite triangle area: a corner is not finite")
+        if np.any(jac <= 0.0):
             raise ValueError("degenerate triangle: zero area")
         inv = np.empty_like(metric)
         inv[:, 0, 0] = metric[:, 1, 1]

@@ -239,8 +239,7 @@ def compute_errors(
     err_u = math.sqrt(float((cell * (u_lift - fields.u[:, None]) ** 2).sum()))
 
     u_proj = 2.0 * np.einsum("q,fq->f", wts, u_lift)
-    areas = 0.5 * maps.jac
-    err_eu = math.sqrt(float((areas * (u_proj - fields.u) ** 2).sum()))
+    err_eu = math.sqrt(float((mesh.areas() * (u_proj - fields.u) ** 2).sum()))
 
     err_post, err_post_alt = (
         None if star is None else math.sqrt(float((cell * (u_lift - eval_p1(star, pts)) ** 2).sum()))

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -203,12 +202,12 @@ def extract_trace_surface(bulk: BulkMesh, psi) -> RawTraceSurface:
     return RawTraceSurface(vertices=points, faces=faces, parent_tet=cut_ids, inward=inward)
 
 
-def _max_interior_angles(p: np.ndarray) -> np.ndarray:
+def max_interior_angles(corners: np.ndarray) -> np.ndarray:
     """Largest interior angle of each triangle of a (F, 3, 3) corner array."""
-    angles = np.empty((len(p), 3))
+    angles = np.empty((len(corners), 3))
     for k in range(3):
-        u = p[:, (k + 1) % 3] - p[:, k]
-        v = p[:, (k + 2) % 3] - p[:, k]
+        u = corners[:, (k + 1) % 3] - corners[:, k]
+        v = corners[:, (k + 2) % 3] - corners[:, k]
         cosang = np.einsum("fi,fi->f", u, v) / (
             np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
         )
@@ -236,7 +235,7 @@ def split_quads(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
     if len(bad):
         raise RuntimeError(f"cut quadrilateral is not planar (defect {defect[bad[0]]:.3e})")
 
-    worst = _max_interior_angles(p[:, _QUAD_SPLITS].reshape(-1, 3, 3)).reshape(-1, 2, 2).max(axis=2)
+    worst = max_interior_angles(p[:, _QUAD_SPLITS].reshape(-1, 3, 3)).reshape(-1, 2, 2).max(axis=2)
     worst_a, worst_b = worst[:, 0], worst[:, 1]
     # the diagonals share no vertex, so their smaller ids decide the tie
     a_is_lower = np.minimum(ids[:, 0], ids[:, 2]) < np.minimum(ids[:, 1], ids[:, 3])
@@ -262,6 +261,7 @@ class TraceMesh:
     face_edges: np.ndarray         # (F, 3): global edge id of each local edge
     face_edge_signs: np.ndarray    # (F, 3): +1 if local direction has increasing ids
     face_normals: np.ndarray       # (F, 3) unit normals, by the vertex order
+    maps: AffineMap                # affine maps of the reference triangle onto the facets
     h: float                       # maximum triangle diameter
     parent_tet: np.ndarray         # (F,) background element, -1 if not applicable
 
@@ -284,19 +284,8 @@ class TraceMesh:
     def corner_points(self) -> np.ndarray:
         return self.vertices[self.triangles]
 
-    @cached_property
-    def maps(self) -> AffineMap:
-        """Affine maps of the reference triangle onto the facets, built once."""
-        return AffineMap.from_triangles(self.corner_points())
-
     def areas(self) -> np.ndarray:
         return 0.5 * self.maps.jac
-
-    def centroids(self) -> np.ndarray:
-        return self.corner_points().mean(axis=1)
-
-    def max_interior_angles(self) -> np.ndarray:
-        return _max_interior_angles(self.corner_points())
 
     @staticmethod
     def from_arrays(vertices: np.ndarray, triangles: np.ndarray, parent_tet: np.ndarray) -> "TraceMesh":
@@ -306,7 +295,8 @@ class TraceMesh:
         nothing is flipped.  Raises ``RuntimeError`` when an edge does not
         border exactly two facets, when two facets traverse their shared edge
         in the same direction, or when the surface is disconnected, and
-        ``ValueError`` on a facet of zero area.
+        ``ValueError`` on a facet of zero area or with a non-finite corner
+        (``AffineMap.from_triangles``, which builds the facet maps).
         """
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import connected_components
@@ -340,12 +330,7 @@ class TraceMesh:
         if connected_components(adjacency, directed=False)[0] != 1:
             raise RuntimeError("surface is not connected")
 
-        p = vertices[triangles]
-        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        areas2 = np.linalg.norm(cross, axis=-1)
-        if np.any(areas2 <= 0.0):
-            raise ValueError("degenerate triangle: zero area")
-
+        maps = AffineMap.from_triangles(vertices[triangles])
         edges = np.stack([lo[pairs[:, 0]], hi[pairs[:, 0]]], axis=1)
         face_edges = np.empty(3 * n_faces, dtype=int)
         face_edges[pairs] = np.arange(len(pairs))[:, None]
@@ -356,7 +341,8 @@ class TraceMesh:
             edges=edges,
             face_edges=face_edges.reshape(-1, 3),
             face_edge_signs=np.where(agree, 1.0, -1.0).reshape(-1, 3),
-            face_normals=cross / areas2[:, None],
+            face_normals=np.cross(maps.A[..., 0], maps.A[..., 1]) / maps.jac[:, None],
+            maps=maps,
             h=float(np.linalg.norm(edge_vec, axis=-1).max()),
             parent_tet=np.asarray(parent_tet, dtype=int),
         )
@@ -381,7 +367,7 @@ def bisect_quads(raw: RawTraceSurface, surface: SurfaceField) -> TraceMesh:
     inward = np.repeat(raw.inward, sizes)
     tris[inward] = tris[inward][:, [0, 2, 1]]
     mesh = TraceMesh.from_arrays(raw.vertices, tris, parent_tet=np.repeat(raw.parent_tet, sizes))
-    normals = surface.derivatives(mesh.centroids())[1]
+    normals = surface.derivatives(mesh.corner_points().mean(axis=1))[1]
     flux = np.einsum("f,fi,fi->", mesh.areas(), mesh.face_normals, normals)
     if flux < 0.0:
         raise ValueError(
@@ -414,7 +400,7 @@ def mesh_stats(mesh: TraceMesh, surface: SurfaceField) -> MeshStats:
         h=mesh.h,
         n_triangles=mesh.n_triangles,
         euler_characteristic=mesh.euler_characteristic,
-        max_interior_angle=float(mesh.max_interior_angles().max()),
+        max_interior_angle=float(max_interior_angles(mesh.corner_points()).max()),
         max_abs_dist=max_abs_dist,
     )
 

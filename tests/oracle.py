@@ -186,7 +186,7 @@ def mesh_diagnostics(mesh: TraceMesh, surface: SurfaceField) -> dict[str, float]
         gap_norm[facets] = consistency_gap(frames)
         cos_q[facets] = frames.transversality
 
-    nu_c = surface.derivatives(mesh.centroids())[1]
+    nu_c = surface.derivatives(mesh.corner_points().mean(axis=1))[1]
     normal_gap = np.linalg.norm(nu_c - mesh.face_normals, axis=-1)
     cos_all = min(float(cos_q.min()), float(np.einsum("fi,fi->f", nu_c, mesh.face_normals).min()))
 

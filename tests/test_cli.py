@@ -177,7 +177,7 @@ class TestMain:
 
         def record(config):
             configs.append(config)
-            return StudyResult(report=ErrorReport(space=config.space), seconds=0.0)
+            return StudyResult(report=ErrorReport(space=config.space), seconds=0.0, files=[])
 
         monkeypatch.setattr(cli, "run_study", record)
         assert main([]) == 0

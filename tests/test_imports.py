@@ -1,7 +1,7 @@
 """Package structure: modules share only public names, one module numbers
 and signs the vector edge moments, the geometry kernels stay in closed
 form, the facet rule is mapped onto physical points one facet block at a
-time, sparse factors are made and applied in fixed places, every public
+time, sparse factors and the facet maps are made in fixed places, every public
 name has a caller in the pipeline or the benchmark, the package root
 re-exports only what the benchmark imports from it, and every dataclass
 field has a reader there."""
@@ -128,14 +128,16 @@ def test_check_sees_a_facet_point_read(tmp_path):
     assert facet_point_reads(source) == ["mod.py:6", "mod.py:7"]
 
 
-# The only function that may factor a sparse matrix (``splu``) or apply a
-# factor (``.solve``): one helper factors what each solve chooses, runs the
-# refinement loop against the matrix it is given and checks the result.
-FACTOR_SITES = {"splu": ("_refined_solve",), "solve": ("_refined_solve",)}
+# The only functions that may call each name.  One helper factors a sparse
+# matrix (``splu``) and applies the factor (``.solve``): it factors what each
+# solve chooses, runs the refinement loop against the matrix it is given and
+# checks the result.  A mesh builds its facet maps (``from_triangles``) once,
+# with its other arrays.
+FIXED_CALL_SITES = {"splu": ("_refined_solve",), "solve": ("_refined_solve",), "from_triangles": ("from_arrays",)}
 
 
-def factor_calls(path: Path) -> list[str]:
-    """Calls of ``splu`` or of a ``.solve`` method outside the functions ``FACTOR_SITES`` allows."""
+def stray_calls(path: Path) -> list[str]:
+    """Calls of a name of ``FIXED_CALL_SITES`` outside the functions it allows there."""
     tree = ast.parse(path.read_text(), filename=str(path))
     enclosing: dict[int, set[str]] = {}
     for func in ast.walk(tree):
@@ -148,13 +150,14 @@ def factor_calls(path: Path) -> list[str]:
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        if name in FACTOR_SITES and not enclosing.get(id(node), set()) & set(FACTOR_SITES[name]):
+        if name in FIXED_CALL_SITES and not enclosing.get(id(node), set()) & set(FIXED_CALL_SITES[name]):
             found.append(f"{path.name}:{node.lineno}")
     return found
 
 
 def test_factors_made_and_applied_in_fixed_places():
-    offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in factor_calls(path)]
+    """Sparse factors are made and applied by one helper, and the facet maps by the mesh constructor."""
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in stray_calls(path)]
     assert offenders == []
 
 
@@ -168,9 +171,14 @@ def test_check_sees_a_stray_factor_call(tmp_path):
         "    return lu.solve(rhs)\n\n"
         "def condense(k, b):\n"
         "    lu = scipy.sparse.linalg.splu(k)\n"
-        "    return lu.solve(b)\n"
+        "    return lu.solve(b)\n\n"
+        "class TraceMesh:\n"
+        "    def from_arrays(vertices, triangles):\n"
+        "        return AffineMap.from_triangles(vertices[triangles])\n\n"
+        "def mesh_stats(mesh):\n"
+        "    return AffineMap.from_triangles(mesh.corner_points())\n"
     )
-    assert factor_calls(source) == ["mod.py:9", "mod.py:10"]
+    assert stray_calls(source) == ["mod.py:9", "mod.py:10", "mod.py:17"]
 
 
 PERFBENCH = PACKAGE.parent.parent / "perfbench"

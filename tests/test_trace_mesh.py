@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from quasitrace.trace_mesh import (
     BulkMesh,
     TraceMesh,
-    _max_interior_angles,
     bisect_quads,
     build_bulk_mesh,
     extract_trace_surface,
+    max_interior_angles,
     mesh_stats,
     split_quads,
     write_off,
@@ -224,7 +224,7 @@ class TestExtraction:
 
 def worst_angle(quad: np.ndarray, split) -> float:
     """Larger maximum interior angle of the two triangles of a split."""
-    return float(_max_interior_angles(quad[np.asarray(split)]).max())
+    return float(max_interior_angles(quad[np.asarray(split)]).max())
 
 
 class TestQuadSplit:
@@ -278,12 +278,12 @@ class TestSphereMesh:
 
     def test_outward_orientation(self, sphere, sphere_meshes):
         mesh = sphere_meshes[16]
-        cos = np.einsum("fi,fi->f", sphere.derivatives(mesh.centroids())[1], mesh.face_normals)
+        cos = np.einsum("fi,fi->f", sphere.derivatives(mesh.corner_points().mean(axis=1))[1], mesh.face_normals)
         assert cos.min() > 0.0
 
     def test_max_angle_bounded(self, sphere_meshes):
         for mesh in sphere_meshes.values():
-            assert mesh.max_interior_angles().max() <= np.pi - 0.05
+            assert max_interior_angles(mesh.corner_points()).max() <= np.pi - 0.05
 
     def test_positive_areas(self, sphere_meshes):
         for mesh in sphere_meshes.values():
@@ -393,9 +393,9 @@ class TestExtractedMeshProperties:
         second = mesh.face_edge_signs[edge_faces[:, 1], edge_local[:, 1]]
         assert np.all(first == 1.0) and np.all(second == -1.0)
         assert mesh.euler_characteristic == 2
-        cos = np.einsum("fi,fi->f", sphere.derivatives(mesh.centroids())[1], mesh.face_normals)
+        cos = np.einsum("fi,fi->f", sphere.derivatives(mesh.corner_points().mean(axis=1))[1], mesh.face_normals)
         assert cos.min() > 0.0
-        assert mesh.max_interior_angles().max() <= np.pi - 0.05
+        assert max_interior_angles(mesh.corner_points()).max() <= np.pi - 0.05
         rebuilt = TraceMesh.from_arrays(mesh.vertices, mesh.triangles, parent_tet=mesh.parent_tet)
         got_arrays = mesh_arrays(rebuilt)
         for name, want in mesh_arrays(mesh).items():
@@ -409,7 +409,7 @@ class TestFromArrays:
         mesh = tet_boundary_mesh()
         assert mesh.n_triangles == 4 and mesh.n_edges == 6
         assert mesh.euler_characteristic == 2
-        out = np.einsum("fi,fi->f", mesh.face_normals, mesh.centroids())
+        out = np.einsum("fi,fi->f", mesh.face_normals, mesh.corner_points().mean(axis=1))
         assert np.all(out > 0.0)
 
     def test_rejects_open_surface(self):
@@ -438,6 +438,21 @@ class TestFromArrays:
         tris = np.vstack([mesh.triangles, mesh.triangles + 4])
         with pytest.raises(RuntimeError, match="not connected"):
             TraceMesh.from_arrays(verts, tris, parent_tet=np.full(len(tris), -1))
+
+    def test_rejects_a_zero_area_facet(self):
+        mesh = tet_boundary_mesh()
+        # corner 3 on the midpoint of edge 0-1 flattens facet (0, 3, 1)
+        verts = mesh.vertices.copy()
+        verts[3] = 0.5 * (verts[0] + verts[1])
+        with pytest.raises(ValueError, match="zero area"):
+            TraceMesh.from_arrays(verts, mesh.triangles, parent_tet=np.full(4, -1))
+
+    def test_rejects_a_non_finite_corner(self):
+        mesh = tet_boundary_mesh()
+        verts = mesh.vertices.copy()
+        verts[3, 0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            TraceMesh.from_arrays(verts, mesh.triangles, parent_tet=np.full(4, -1))
 
 
 class TestOffExport:
