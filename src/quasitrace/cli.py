@@ -51,7 +51,6 @@ class StudyConfig:
     box: tuple = (-2.0, 2.0, -2.0, 2.0, -2.0, 2.0)
     n0: int = 8
     levels: int = 4
-    seed_offset: tuple = (0.0, 0.0, 0.0)
     output_dir: str | None = None
     export_mesh: bool = False
     check_mesh_only: bool = False
@@ -73,20 +72,12 @@ class StudyConfig:
         box = np.asarray(self.box, dtype=float)
         if box.size != 6:
             raise ValueError("box needs six bounds")
-        off = np.asarray(self.seed_offset, dtype=float)
-        if off.shape != (3,):
-            raise ValueError("seed offset needs three components")
         # NaN fails every margin comparison below, so it has to be caught here
-        for name, values in (("box", box), ("seed_offset", off)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} must be finite")
-        lo, hi = self.shifted_box().T
+        if not np.all(np.isfinite(box)):
+            raise ValueError("box must be finite")
+        lo, hi = box.reshape(3, 2).T
         if np.any(lo > -1.5) or np.any(hi < 1.5):
             raise ValueError("box must contain the unit sphere with margin at least 0.5")
-
-    def shifted_box(self) -> np.ndarray:
-        box = np.asarray(self.box, dtype=float).reshape(3, 2)
-        return box + np.asarray(self.seed_offset, dtype=float)[:, None]
 
 
 @dataclass
@@ -99,7 +90,7 @@ class StudyResult:
 def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int):
     # Nested calls: the bulk lattice and the raw cut are freed once the mesh exists.
     mesh = bisect_quads(
-        extract_trace_surface(build_bulk_mesh(config.shifted_box(), n), surface.signed_distance), surface=surface
+        extract_trace_surface(build_bulk_mesh(config.box, n), surface.signed_distance), surface=surface
     )
     stats = mesh_stats(mesh, surface)
     if stats.euler_characteristic != 2:
@@ -108,7 +99,7 @@ def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int)
     try:
         rhs = build_rhs(problem.f, mesh, surface)
     except ValueError as exc:  # a coarse lattice cuts facets far from the surface
-        spacing = np.ptp(config.shifted_box(), axis=1).max() / n
+        spacing = np.ptp(np.reshape(config.box, (3, 2)), axis=1).max() / n
         remedy = "use a larger n0 or a smaller box"
         raise ValueError(f"level {level} (n = {n}, lattice spacing {spacing:.3g}): {exc}; {remedy}") from exc
     errors = None
@@ -254,8 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--levels", type=int, default=StudyConfig.levels)
     parser.add_argument("--box", type=float, nargs=6, metavar=("X0", "X1", "Y0", "Y1", "Z0", "Z1"),
                         default=StudyConfig.box)
-    parser.add_argument("--seed-offset", type=float, nargs=3, default=StudyConfig.seed_offset,
-                        metavar=("DX", "DY", "DZ"), help="shift of the background lattice")
     parser.add_argument("--out", dest="output_dir", metavar="OUT", default=".", help="output directory")
     parser.add_argument("--export-mesh", action="store_true", help="write an OFF file per level")
     parser.add_argument("--check-mesh-only", action="store_true",
@@ -266,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = StudyConfig(**dict(vars(args), box=tuple(args.box), seed_offset=tuple(args.seed_offset)))
+        config = StudyConfig(**dict(vars(args), box=tuple(args.box)))
         result = run_study(config)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -170,6 +170,9 @@ class AffineMap:
     @classmethod
     def from_triangles(cls, verts: np.ndarray) -> "AffineMap":
         verts = np.asarray(verts, dtype=float)
+        # before the edge vectors: an infinite corner would make NaNs (inf - inf, inf * 0) below
+        if not np.all(np.isfinite(verts)):
+            raise ValueError("non-finite triangle area: a corner is not finite")
         e1 = verts[:, 1] - verts[:, 0]
         e2 = verts[:, 2] - verts[:, 0]
         a = np.stack([e1, e2], axis=-1)
@@ -177,8 +180,6 @@ class AffineMap:
         # det(A^T A) cancels catastrophically on needle facets; the cross
         # product gives the same area Jacobian stably.
         jac = np.linalg.norm(np.cross(e1, e2), axis=-1)
-        if not np.all(np.isfinite(jac)):
-            raise ValueError("non-finite triangle area: a corner is not finite")
         if np.any(jac <= 0.0):
             raise ValueError("degenerate triangle: zero area")
         inv = np.empty_like(metric)

@@ -17,6 +17,11 @@ from oracle import interpolate_hdiv, mesh_diagnostics
 DEFAULT_BOX = ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0))
 
 
+def shifted_box(offset, box=DEFAULT_BOX) -> np.ndarray:
+    """``box`` with its lattice shifted by ``offset`` along each axis."""
+    return np.asarray(box, dtype=float).reshape(3, 2) + np.asarray(offset, dtype=float)[:, None]
+
+
 @pytest.fixture(scope="session")
 def sphere():
     return Sphere(1.0)

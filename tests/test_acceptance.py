@@ -18,7 +18,14 @@ from quasitrace.elements import mixed_space
 from quasitrace.geometry import frame_at, piola_from_surface
 from quasitrace.postprocess_errors import compute_errors, eoc, lift_exact, postprocess_neumann
 
-from conftest import interpolate_facet, l2_scalar_diff, l2_vector_diff, make_sphere_mesh, random_needle
+from conftest import (
+    interpolate_facet,
+    l2_scalar_diff,
+    l2_vector_diff,
+    make_sphere_mesh,
+    random_needle,
+    shifted_box,
+)
 from oracle import (
     closest_point,
     injected_exact_fields,
@@ -237,10 +244,10 @@ def test_rates_in_the_bulk_mesh_size_under_lattice_offsets(kind, offset):
     the final rates meet criteria 1-2's bounds against the facet h and
     against ``h_bulk = |box widths / n|``, and ``err_eu / err_u`` decreases.
     """
-    config = StudyConfig(space=kind, postprocess="neumann", n0=12, levels=3, seed_offset=tuple(offset))
+    config = StudyConfig(space=kind, postprocess="neumann", n0=12, levels=3, box=shifted_box(offset))
     study = run_study(config)
     records = study.report.records
-    widths = np.ptp(config.shifted_box(), axis=1)
+    widths = np.ptp(config.box, axis=1)
     h_bulk = [float(np.linalg.norm(widths / rec.n)) for rec in records]
     facet = final_rates(study)
     bulk = {name: eoc(study.report.column(name), h_bulk)[-1] for name in facet}

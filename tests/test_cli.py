@@ -3,6 +3,7 @@
 import hashlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ import quasitrace
 import quasitrace.cli as cli
 from quasitrace.cli import CSV_COLUMNS, StudyConfig, StudyResult, main, report_csv, run_study
 from quasitrace.postprocess_errors import ErrorReport
+
+from conftest import shifted_box
 
 # SHA-256 of the CSV text of the session studies (n0 = 8, four levels,
 # neumann postprocessing).  A refactor that keeps the numerics must keep
@@ -36,10 +39,6 @@ class TestConfigValidation:
     def test_rejects_box_without_margin(self):
         with pytest.raises(ValueError):
             StudyConfig(box=((-1.2, 1.2), (-2.0, 2.0), (-2.0, 2.0)))
-
-    def test_rejects_offset_destroying_margin(self):
-        with pytest.raises(ValueError):
-            StudyConfig(seed_offset=(0.6, 0.0, 0.0))
 
     def test_rejects_unknown_space(self):
         with pytest.raises(ValueError):
@@ -68,7 +67,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "name, value",
         [
-            ("seed_offset", (float("nan"), 0.0, 0.0)),
+            ("box", (-2.0, 2.0, -2.0, 2.0, -2.0, float("nan"))),  # the flat six the command line passes
             ("box", ((-2.0, float("inf")), (-2.0, 2.0), (-2.0, 2.0))),
             ("box", ((float("nan"), 2.0), (-2.0, 2.0), (-2.0, 2.0))),
         ],
@@ -129,8 +128,7 @@ class TestRunStudy:
         config = StudyConfig(
             n0=4,
             levels=1,
-            box=((-4.55, 4.55),) * 3,
-            seed_offset=(-0.18, -0.37, -0.39),
+            box=shifted_box((-0.18, -0.37, -0.39), box=((-4.55, 4.55),) * 3),
             check_mesh_only=check_mesh_only,
         )
         message = (
@@ -147,15 +145,18 @@ class TestRunStudy:
         ``check_mesh_only``."""
         messages = []
         for check_mesh_only in (True, False):
-            config = StudyConfig(n0=4, levels=1, seed_offset=tuple(offset), check_mesh_only=check_mesh_only)
+            config = StudyConfig(n0=4, levels=1, box=shifted_box(offset), check_mesh_only=check_mesh_only)
             with pytest.raises(ValueError, match=r"^level 0 \(n = 4, lattice spacing 1\): ") as caught:
                 run_study(config)
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
 
-    def test_seed_offset_completes(self):
-        result = run_study(StudyConfig(n0=4, levels=1, seed_offset=(0.013, 0.007, 0.021)))
+    def test_shifted_box_completes(self):
+        result = run_study(StudyConfig(n0=4, levels=1, box=shifted_box((0.013, 0.007, 0.021))))
         assert result.report.records[0].errors.err_u > 0.0
+        # the bytes of this lattice; moving how a box places the lattice moves them
+        digest = hashlib.sha256(report_csv(result.report).encode()).hexdigest()
+        assert digest == "5afc8d1bfb54b46c20ce56aafad522c68a8f85f4aeaaea65fc31fc4cf32db794"
 
     def test_postprocess_variant_selection(self):
         neumann = run_study(StudyConfig(n0=4, levels=1, postprocess="neumann"))
@@ -171,17 +172,34 @@ class TestRunStudy:
         assert e_g.err_post != e_n.err_post
 
 
+@pytest.fixture
+def recorded_configs(monkeypatch):
+    """The configs ``main`` hands to ``run_study``, which is replaced so that no study runs."""
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        return StudyResult(report=ErrorReport(space=config.space), seconds=0.0, files=[])
+
+    monkeypatch.setattr(cli, "run_study", record)
+    return configs
+
+
 class TestMain:
-    def test_defaults_come_from_study_config(self, monkeypatch, capsys):
-        configs = []
-
-        def record(config):
-            configs.append(config)
-            return StudyResult(report=ErrorReport(space=config.space), seconds=0.0, files=[])
-
-        monkeypatch.setattr(cli, "run_study", record)
+    def test_defaults_come_from_study_config(self, recorded_configs, capsys):
         assert main([]) == 0
-        assert configs == [StudyConfig(output_dir=".")]
+        assert recorded_configs == [StudyConfig(output_dir=".")]
+
+    def test_readme_command_lines_build_a_config(self, recorded_configs, capsys):
+        """Each ``quasitrace`` line of the README's command-line block parses and
+        builds a ``StudyConfig`` as ``main`` builds one, so no removed flag lingers there."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("quasitrace ")]
+        assert lines
+        for line in lines:
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        assert len(recorded_configs) == len(lines)
 
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -192,9 +210,9 @@ class TestMain:
         assert main(["--n0", "2", "--levels", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_non_finite_offset_exits_1(self, capsys):
-        assert main(["--n0", "4", "--levels", "1", "--seed-offset", "nan", "0", "0", "--check-mesh-only"]) == 1
-        assert capsys.readouterr().err == "error: seed_offset must be finite\n"
+    def test_non_finite_box_exits_1(self, capsys):
+        assert main(["--n0", "4", "--levels", "1", "--box", "nan", "2", "-2", "2", "-2", "2", "--check-mesh-only"]) == 1
+        assert capsys.readouterr().err == "error: box must be finite\n"
 
     def test_unusable_out_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -447,10 +447,12 @@ class TestFromArrays:
         with pytest.raises(ValueError, match="zero area"):
             TraceMesh.from_arrays(verts, mesh.triangles, parent_tet=np.full(4, -1))
 
-    def test_rejects_a_non_finite_corner(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_corner(self, value):
+        # refused before any arithmetic on the corners, so an infinite one warns nothing either
         mesh = tet_boundary_mesh()
         verts = mesh.vertices.copy()
-        verts[3, 0] = np.nan
+        verts[3, 0] = value
         with pytest.raises(ValueError, match="not finite"):
             TraceMesh.from_arrays(verts, mesh.triangles, parent_tet=np.full(4, -1))
 
