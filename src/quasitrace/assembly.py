@@ -28,6 +28,7 @@ scatter their residuals from the local blocks: no global matrix is built to be m
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 
@@ -60,6 +61,23 @@ SADDLE_PANEL_SIZE = 4
 # slack of the hybrid / direct equivalence (acceptance criterion 6).
 RESIDUAL_WARNING = 1e-8
 
+# glibc's malloc_trim, resolved once; None where the C library has none.
+malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+if malloc_trim is not None:
+    malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+
+
+def release_free_memory() -> None:
+    """Return the free pages of every heap arena to the operating system, where the C library can.
+
+    glibc keeps freed chunks resident: its trim threshold rises after large
+    frees, and a thread's own arena is trimmed only from its top.  Called
+    where a level's peak is made, so that the peak holds its live arrays and
+    its factor, not the freed temporaries of earlier stages and levels.
+    """
+    if malloc_trim is not None:
+        malloc_trim(0)
+
 
 def _refined_solve(matrix: sp.csc_matrix, factored: sp.csc_matrix, rhs: np.ndarray, what: str,
                    **splu_options) -> np.ndarray:
@@ -70,8 +88,11 @@ def _refined_solve(matrix: sp.csc_matrix, factored: sp.csc_matrix, rhs: np.ndarr
     solves on the same factorization.  Residuals are taken against
     ``matrix``, so a factor of a nearby matrix converges to the solution of
     ``matrix`` itself.  A failed factorization and a non-finite solution
-    raise ``RuntimeError`` naming the ``what`` system.
+    raise ``RuntimeError`` naming the ``what`` system.  Freed heap pages are
+    returned first, so that the factor, a level's largest allocation, does
+    not stack on top of them.
     """
+    release_free_memory()
     try:
         lu = splu(factored, **splu_options)
     except RuntimeError as exc:

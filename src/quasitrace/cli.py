@@ -78,6 +78,8 @@ class StudyConfig:
         lo, hi = box.reshape(3, 2).T
         if np.any(lo > -1.5) or np.any(hi < 1.5):
             raise ValueError("box must contain the unit sphere with margin at least 0.5")
+        # six floats, however given, so that configs compare and hash
+        object.__setattr__(self, "box", tuple(map(float, box.ravel())))
 
 
 @dataclass
@@ -255,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = StudyConfig(**dict(vars(args), box=tuple(args.box)))
+        config = StudyConfig(**vars(args))
         result = run_study(config)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ from .elements import (
 )
 from .geometry import SurfaceField, facet_slices, frame_blocks, piola_from_surface
 from .trace_mesh import TraceMesh, MeshStats
-from .assembly import RhsField, SolutionFields
+from .assembly import RhsField, SolutionFields, release_free_memory
 
 # Mean-free linear basis on the reference triangle: barycentric coordinates
 # of the two non-origin vertices, shifted by their mean.  Vertex values and
@@ -171,8 +171,12 @@ LIFT_THREAD_MIN_FACETS = 8192
 # alone, 1.32 s beside the lift and 1.40 s (up to 2.16 s) beside a thread
 # running a pure-Python loop.  The worker calls only module-level functions
 # that callers cannot rebind, and allocates nothing that outlives a facet
-# block: SuperLU stays on the caller's thread, where its factor is returned
-# to the allocator when it is freed.
+# block.  It returns its arena's free pages when the lift ends: glibc trims
+# a thread's arena only from its top, and the freed block temporaries held
+# a lone n = 96 level's peak 43.3 MB above the same level lifted after its
+# solve, 10 MB beyond the 33 MB of samples; with the trim, 33.5 MB above.
+# SuperLU stays on the caller's thread, where its factor is returned to the
+# allocator when it is freed.
 _LIFT_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="quasitrace-lift")
 
 
@@ -182,6 +186,7 @@ def _lift_blocks(mesh: TraceMesh, surface: SurfaceField, problem: ManufacturedPr
         closest = frames.closest
         p[facets] = piola_from_surface(frames, problem.p(closest))
         u[facets] = problem.u(closest)
+    release_free_memory()
     return p, u
 
 

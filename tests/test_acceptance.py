@@ -247,7 +247,7 @@ def test_rates_in_the_bulk_mesh_size_under_lattice_offsets(kind, offset):
     config = StudyConfig(space=kind, postprocess="neumann", n0=12, levels=3, box=shifted_box(offset))
     study = run_study(config)
     records = study.report.records
-    widths = np.ptp(config.box, axis=1)
+    widths = np.ptp(np.reshape(config.box, (3, 2)), axis=1)
     h_bulk = [float(np.linalg.norm(widths / rec.n)) for rec in records]
     facet = final_rates(study)
     bulk = {name: eoc(study.report.column(name), h_bulk)[-1] for name in facet}

@@ -185,6 +185,35 @@ def sphere_solves(sphere, problem, sphere_meshes):
     return mesh, out
 
 
+class TestReleaseFreeMemory:
+    """Freed heap pages go back to the system through one helper, which every factorization calls first."""
+
+    def test_calls_the_resolved_trim_without_padding(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(assembly, "malloc_trim", calls.append)
+        assembly.release_free_memory()
+        assert calls == [0]
+
+    def test_does_nothing_without_a_trim(self, monkeypatch):
+        monkeypatch.setattr(assembly, "malloc_trim", None)
+        assembly.release_free_memory()
+
+    def test_each_factor_follows_a_trim(self, monkeypatch, sphere, problem, sphere_meshes):
+        events = []
+
+        def recording_splu(matrix, **options):
+            events.append("factor")
+            return splu(matrix, **options)
+
+        monkeypatch.setattr(assembly, "malloc_trim", lambda pad: events.append("trim"))
+        monkeypatch.setattr(assembly, "splu", recording_splu)
+        mesh, space = sphere_meshes[8], mixed_space("rt0")
+        rhs = build_rhs(problem.f, mesh, sphere)
+        solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs))
+        solve_saddle_point(mesh, space, rhs)
+        assert events == ["trim", "factor"] * 2
+
+
 class TestSolvers:
     @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
     def test_hybrid_matches_saddle_point(self, kind, sphere_solves):

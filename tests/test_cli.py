@@ -59,6 +59,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^box needs six bounds$"):
             StudyConfig(box=box)
 
+    def test_an_array_box_compares_and_hashes(self):
+        # the frozen config keeps the six bounds as floats, however they were given
+        box = shifted_box((0.013, 0.007, 0.021))
+        flat = tuple(float(bound) for bound in box.ravel())
+        config = StudyConfig(box=box)
+        assert config.box == flat
+        assert config == StudyConfig(box=flat)
+        assert hash(config) == hash(StudyConfig(box=flat))
+
     def test_rejects_mesh_export_without_output_dir(self):
         # run_study would write no mesh and say nothing
         with pytest.raises(ValueError, match="^export_mesh needs an output_dir$"):

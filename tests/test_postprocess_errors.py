@@ -1,11 +1,13 @@
 """Manufactured data, local postprocessing, and error norm machinery."""
 
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import quasitrace.assembly as assembly
 import quasitrace.postprocess_errors as postprocess_errors
 from quasitrace.assembly import SolutionFields, build_rhs, condense_and_assemble, solve_hybrid
 from quasitrace.elements import AffineMap, mixed_space, triangle_rule
@@ -252,6 +254,14 @@ class TestExactLift:
         star = postprocess_gradient(mesh, space, fields)
         with pytest.raises(LiftFailure, match="^scalar undefined at these points$"):
             compute_errors(mesh, space, exact, fields, star)
+
+    @pytest.mark.parametrize("threshold", [0, 10**9])
+    def test_worker_trims_its_heap_when_the_lift_ends(self, monkeypatch, threshold, sphere, problem, sphere_meshes):
+        threads = []
+        monkeypatch.setattr(assembly, "malloc_trim", lambda pad: threads.append(threading.current_thread().name))
+        monkeypatch.setattr(postprocess_errors, "LIFT_THREAD_MIN_FACETS", threshold)
+        lift_exact(sphere_meshes[8], sphere, problem).result(timeout=120)
+        assert len(threads) == 1 and threads[0].startswith("quasitrace-lift")
 
     def test_samples_of_another_rule_are_rejected(self, monkeypatch, sphere, problem, sphere_meshes):
         mesh = sphere_meshes[8]
