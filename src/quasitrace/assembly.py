@@ -166,7 +166,7 @@ def assemble_local_blocks(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> 
     return LocalBlocks(mass=mass, div=0.5 * space.divergence(), load=load)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HybridSystem:
     """Condensed edge-multiplier system plus the data to recover the fields."""
 
@@ -238,44 +238,45 @@ def condense_and_assemble(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> 
     return HybridSystem(matrix=bordered, rhs=np.concatenate([g, [-w_shift]]), kinv=kinv, dofs=dofs, blocks=blocks)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionFields:
-    """Recovered discrete fields: broken vector coefficients and facet scalars."""
+    """Recovered discrete fields, broken vector coefficients and facet scalars, with both residuals."""
 
-    p_local: np.ndarray            # (F, nq)
-    u: np.ndarray                  # (F,)
-    residual_flux: float = np.nan      # relative defect of the flux equation
-    residual_balance: float = np.nan   # relative defect of the balance equation
+    p_local: np.ndarray      # (F, nq)
+    u: np.ndarray            # (F,)
+    residual_flux: float     # relative defect of the flux equation
+    residual_balance: float  # relative defect of the balance equation
 
 
-def _record_residuals(fields: SolutionFields, dofs: EdgeDofs, blocks: LocalBlocks, what: str) -> None:
-    """Store both relative residuals of ``fields`` and warn when either exceeds ``RESIDUAL_WARNING``.
+def _checked_fields(p_local: np.ndarray, u: np.ndarray, dofs: EdgeDofs, blocks: LocalBlocks,
+                    what: str) -> SolutionFields:
+    """The fields with both relative residuals; warns when either exceeds ``RESIDUAL_WARNING``.
 
     A p and B^T u are scattered from the local blocks, as the assembled conforming matrices would sum them.
     """
     ids, sign = dofs.ids.ravel(), dofs.conforming
-    p_conf = local_vector_coefficients(dofs, global_vector_coefficients(dofs, fields.p_local))
+    p_conf = local_vector_coefficients(dofs, global_vector_coefficients(dofs, p_local))
     a_p = np.bincount(ids, (sign * np.einsum("fkl,fl->fk", blocks.mass, p_conf)).ravel(), minlength=dofs.size)
-    bt_u = np.bincount(ids, (sign * blocks.div * fields.u[:, None]).ravel(), minlength=dofs.size)
+    bt_u = np.bincount(ids, (sign * blocks.div * u[:, None]).ravel(), minlength=dofs.size)
     r1 = a_p - bt_u
     scale1 = np.linalg.norm(a_p) + np.linalg.norm(bt_u)
-    r2 = np.einsum("k,fk->f", blocks.div, fields.p_local) - blocks.load
+    r2 = np.einsum("k,fk->f", blocks.div, p_local) - blocks.load
     scale2 = np.linalg.norm(blocks.load)
     res1 = float(np.linalg.norm(r1) / max(scale1, 1e-300))
     res2 = float(np.linalg.norm(r2) / max(scale2, 1e-300)) if scale2 > 0 else float(np.linalg.norm(r2))
-    fields.residual_flux, fields.residual_balance = res1, res2
     # degenerate cut facets push the flux-equation residual above the
     # exact-arithmetic level
     worst = max(res1, res2)
     if worst > RESIDUAL_WARNING:
         warnings.warn(f"discrete equations satisfied only to {worst:.3e} (ill-conditioned {what})", stacklevel=3)
+    return SolutionFields(p_local=p_local, u=u, residual_flux=res1, residual_balance=res2)
 
 
 def solve_hybrid(system: HybridSystem) -> SolutionFields:
     """Direct solve of the bordered multiplier system and facet-wise recovery.
 
-    Both residuals of the recovered fields are recorded; a warning is raised
-    when either exceeds 1e-8.
+    The fields are returned with both of their residuals; a warning is
+    raised when either exceeds 1e-8.
     """
     # COLAMD with partial pivoting, the SuperLU default: a symmetric ordering
     # would cut the fill, but it moves the solution at round-off, and
@@ -286,9 +287,7 @@ def solve_hybrid(system: HybridSystem) -> SolutionFields:
     rhs_loc[:, :nq] = -system.dofs.coupling * lam[system.dofs.ids]
     rhs_loc[:, nq] = -system.blocks.load
     x = np.einsum("fij,fj->fi", system.kinv, rhs_loc)
-    fields = SolutionFields(p_local=x[:, :nq], u=x[:, nq])
-    _record_residuals(fields, system.dofs, system.blocks, "multiplier system")
-    return fields
+    return _checked_fields(x[:, :nq], x[:, nq], system.dofs, system.blocks, "multiplier system")
 
 
 def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> SolutionFields:
@@ -310,10 +309,10 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> Sol
     ``SADDLE_PANEL_SIZE``-column panels.  Refinement takes its residuals
     against K, so the error contracts by about delta * |K^{-1}| per step;
     the shifted matrix maps (0, 1) to a multiple of itself, so no step adds
-    a kernel component.  Both residuals are recorded; a warning is raised
-    when either exceeds 1e-8.  The shifted matrix is scattered from the
-    local blocks in one COO to CSC conversion; K shares its pattern, with
-    explicit zeros on the scalar diagonal.
+    a kernel component.  The fields are returned with both of their
+    residuals; a warning is raised when either exceeds 1e-8.  The shifted
+    matrix is scattered from the local blocks in one COO to CSC conversion;
+    K shares its pattern, with explicit zeros on the scalar diagonal.
     """
     blocks, dofs = assemble_local_blocks(mesh, space, rhs), edge_dofs(mesh, space)
     n_p, nf = dofs.size, mesh.n_triangles
@@ -331,6 +330,4 @@ def solve_saddle_point(mesh: TraceMesh, space: MixedSpace, rhs: RhsField) -> Sol
                          options={"SymmetricMode": True})
     areas = mesh.areas()
     u = sol[n_p:] - (areas * sol[n_p:]).sum() / areas.sum()
-    fields = SolutionFields(p_local=local_vector_coefficients(dofs, sol[:n_p]), u=u)
-    _record_residuals(fields, dofs, blocks, "saddle-point system")
-    return fields
+    return _checked_fields(local_vector_coefficients(dofs, sol[:n_p]), u, dofs, blocks, "saddle-point system")

@@ -82,7 +82,7 @@ class StudyConfig:
         object.__setattr__(self, "box", tuple(map(float, box.ravel())))
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyResult:
     report: ErrorReport
     seconds: float
@@ -128,20 +128,21 @@ def run_study(config: StudyConfig) -> StudyResult:
     surface = Sphere(1.0)
     problem = manufactured_sphere()
     space = mixed_space(config.space)
-    report = ErrorReport(space=config.space)
     out = Path(config.output_dir) if config.output_dir else None
     files: list[Path] = []
+    records: list[LevelRecord] = []
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
     for level in range(config.levels):
         n = config.n0 * 2**level
         mesh, record = _run_level(config, surface, problem, space, n, level)
-        report.records.append(record)
+        records.append(record)
         if config.export_mesh:
             path = out / f"mesh_level{level}.off"
             write_off(mesh, path)
             files.append(path)
+    report = ErrorReport(space=config.space, records=records)
 
     if out is not None and not config.check_mesh_only:
         csv_path = out / "study.csv"

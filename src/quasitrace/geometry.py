@@ -8,7 +8,10 @@ parallel surfaces inside the tubular neighborhood.
 ``TangentFrame`` bundles the pointwise data needed to move fields between a
 flat facet of an extracted mesh and the curved surface: scalars are lifted
 from the closest point (``TangentFrame.closest``), tangential vector fields
-are pulled back by a flux-preserving (Piola-type) map.  All functions
+are pulled back by a flux-preserving (Piola-type) map.  The transfer holds
+only inside the tube and on facets transverse to the surface; ``frame_at``
+is the one place that rejects a frame, so every frame carries its closest
+point and a positive transversality from construction.  All functions
 broadcast over arbitrary leading axes; points have shape ``(..., 3)``.
 
 Every 3x3 kernel is in closed form.  The distance Hessian H is symmetric
@@ -28,7 +31,6 @@ evaluate points and frames facet block by facet block (``point_blocks``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -87,37 +89,28 @@ class TangentFrame:
 
     ``normal`` is the surface unit normal (constant along normal lines, so
     it equals the normal at the closest point), ``face_normal`` the unit
-    normal of the flat facet carrying the point.
+    normal of the flat facet carrying the point.  A frame exists only where
+    its point lies in the tube and its facet is transverse to the surface.
     """
 
-    point: np.ndarray        # (..., 3)
-    dist: np.ndarray         # (...,) signed distance to the surface
-    normal: np.ndarray       # (..., 3)
-    hessian: np.ndarray      # (..., 3, 3) distance Hessian
-    face_normal: np.ndarray  # (..., 3)
-    trace: np.ndarray        # (...,) t = tr H
-    det_tangent: np.ndarray  # (...,) D = det(I - d H) = 1 - d t + d^2 (t^2 - tr H^2) / 2
-
-    @property
-    def closest(self) -> np.ndarray:
-        """Closest point on the surface, where scalars are lifted from."""
-        return self.point - self.dist[..., None] * self.normal
-
-    @cached_property
-    def transversality(self) -> np.ndarray:
-        """Cosine between surface and facet normals; ``ValueError`` where it is not positive."""
-        cosang = np.einsum("...i,...i->...", self.normal, self.face_normal)
-        if np.any(cosang <= 0.0):
-            raise ValueError("facet normal not transverse to the surface normal")
-        return cosang
+    closest: np.ndarray         # (..., 3) closest point on the surface, where scalars are lifted from
+    dist: np.ndarray            # (...,) signed distance to the surface
+    normal: np.ndarray          # (..., 3)
+    hessian: np.ndarray         # (..., 3, 3) distance Hessian
+    face_normal: np.ndarray     # (..., 3)
+    transversality: np.ndarray  # (...,) cosine between surface and facet normals, positive
+    trace: np.ndarray           # (...,) t = tr H
+    det_tangent: np.ndarray     # (...,) D = det(I - d H) = 1 - d t + d^2 (t^2 - tr H^2) / 2
 
 
 def frame_at(surface: SurfaceField, points: np.ndarray, face_normal: np.ndarray) -> TangentFrame:
-    """Build frames at facet points, rejecting points outside the tube.
+    """Build frames at facet points; the one place a frame is rejected.
 
     The closest-point map is single valued only while |d| stays below the
     reciprocal of the largest principal curvature; points with
-    |d| >= 0.5 / max|kappa| are rejected.
+    |d| >= 0.5 / max|kappa| are rejected first, then points whose facet
+    normal is not transverse to the surface normal.  Both raise
+    ``ValueError``.
     """
     points = np.asarray(points, dtype=float)
     face_normal = np.broadcast_to(np.asarray(face_normal, dtype=float), points.shape)
@@ -130,12 +123,16 @@ def frame_at(surface: SurfaceField, points: np.ndarray, face_normal: np.ndarray)
     kmax = np.maximum(np.abs(0.5 * (t + disc)), np.abs(0.5 * (t - disc)))
     if np.any(np.abs(dist) * kmax >= 0.5):
         raise ValueError("point outside the tubular neighborhood of the surface")
+    cosang = np.einsum("...i,...i->...", normal, face_normal)
+    if np.any(cosang <= 0.0):
+        raise ValueError("facet normal not transverse to the surface normal")
     return TangentFrame(
-        point=points,
+        closest=points - dist[..., None] * normal,
         dist=dist,
         normal=normal,
         hessian=hess,
         face_normal=face_normal,
+        transversality=cosang,
         trace=t,
         det_tangent=1.0 - dist * t + 0.5 * dist * dist * (t * t - q),
     )
@@ -179,8 +176,8 @@ def area_ratio(frame: TangentFrame) -> np.ndarray:
 
     Equals (nu . nu_h)(1 - d k1)(1 - d k2) with the principal curvatures
     taken at the evaluation point; the curvature product is the frame's
-    ``det_tangent``, which avoids an eigensolve per point.  Raises
-    ``ValueError`` where the facet is not transverse to the surface.
+    ``det_tangent``, which avoids an eigensolve per point.  Positive on
+    every frame: ``frame_at`` has rejected non-transverse facets.
     """
     return frame.transversality * frame.det_tangent
 
@@ -196,14 +193,14 @@ def piola_from_surface(frame: TangentFrame, p_surface: np.ndarray) -> np.ndarray
 
     ``p_surface`` must be tangent to the surface at the closest point; the
     result is tangent to the facet.  The resolvent (I - d H)^-1 is applied
-    in closed form as two matrix-vector products.
+    in closed form as two matrix-vector products; the division by the
+    frame's transversality is safe, since ``frame_at`` keeps it positive.
     """
     mu = area_ratio(frame)
-    cosang = frame.transversality
     p_surface = np.asarray(p_surface, dtype=float)
     a, b = _resolvent_weights(frame)
     hp = np.einsum("...ij,...j->...i", frame.hessian, p_surface)
     hhp = np.einsum("...ij,...j->...i", frame.hessian, hp)
     y = p_surface + a[..., None] * hp + b[..., None] * hhp
-    y = y - frame.normal * (np.einsum("...i,...i->...", frame.face_normal, y) / cosang)[..., None]
+    y = y - frame.normal * (np.einsum("...i,...i->...", frame.face_normal, y) / frame.transversality)[..., None]
     return mu[..., None] * y

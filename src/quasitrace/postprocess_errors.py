@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -282,12 +282,12 @@ def eoc(errors, hs) -> list[float | None]:
     return rates
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorReport:
     """Collected study levels with convergence-rate accessors."""
 
     space: str
-    records: list[LevelRecord] = field(default_factory=list)
+    records: list[LevelRecord]
 
     def column(self, name: str) -> list[float]:
         return [getattr(r.errors, name) for r in self.records]

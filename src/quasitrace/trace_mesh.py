@@ -122,7 +122,7 @@ def build_bulk_mesh(box, n: int) -> BulkMesh:
     return BulkMesh(vertices=vertices.reshape(-1, 3), n=n, h_bulk=float(np.linalg.norm(spacing)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RawTraceSurface:
     """Per-tetrahedron cut polygons before quad bisection."""
 

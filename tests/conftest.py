@@ -50,13 +50,18 @@ def sphere_diagnostics(sphere, sphere_meshes):
     return {n: mesh_diagnostics(mesh, sphere) for n, mesh in sphere_meshes.items()}
 
 
-def tet_boundary_mesh() -> TraceMesh:
-    """Boundary of a regular tetrahedron: 4 faces, 6 edges, no two coplanar."""
-    verts = np.array(
-        [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
-    )
+REGULAR_TET = ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0))
+
+
+def tet_boundary_mesh(verts=REGULAR_TET) -> TraceMesh:
+    """Boundary of a tetrahedron, by default a regular one: 4 faces, 6 edges, no two coplanar.
+
+    Face 0 is corners 0, 1, 2 in that order.  The faces are outward when
+    corner 3 lies against the right-handed normal of face 0, as in
+    ``REGULAR_TET``.
+    """
     tris = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
-    return TraceMesh.from_arrays(verts, tris, parent_tet=np.full(len(tris), -1))
+    return TraceMesh.from_arrays(np.array(verts, dtype=float), tris, parent_tet=np.full(len(tris), -1))
 
 
 def zero_rhs(mesh: TraceMesh) -> RhsField:

@@ -11,8 +11,10 @@ the normal gap over a mesh (criteria 4 and 7).  So do the plain
 closest-point map, the surface and facet tangent projectors, the inverse
 facet map, the two-sided conformity defect of broken edge moments, the
 facets on each side of a mesh edge, the shifted level values that
-extraction cuts, and the assembled conforming mass and divergence matrices
-whose products the solves' residual checks scatter from the local blocks.
+extraction cuts, the assembled conforming mass and divergence matrices
+whose products the solves' residual checks scatter from the local blocks,
+and the closed-form inverse of the rt0 local saddle blocks that the
+hybrid solve eliminates.
 """
 
 from __future__ import annotations
@@ -210,8 +212,8 @@ def piola_to_surface(frame: TangentFrame, p_face: np.ndarray) -> np.ndarray:
 
     ``p_face`` must be tangent to the facet (``face_projector`` fixes it).
     Flux preserving: together with ``piola_from_surface`` it is the exact
-    inverse pair on tangent fields.  The result is evaluated at the closest
-    point of ``frame.point``.
+    inverse pair on tangent fields.  The result is evaluated at
+    ``frame.closest``.
     """
     mu = area_ratio(frame)
     mat = tangent_projector(frame) - frame.dist[..., None, None] * frame.hessian
@@ -286,7 +288,7 @@ def injected_exact_fields(
     dofs = edge_dofs(mesh, space)
     moments = interpolate_hdiv(mesh.corner_points(), space, transformed_exact_flux(surface, problem, mesh))
     p_local = local_vector_coefficients(dofs, global_vector_coefficients(dofs, moments))
-    return SolutionFields(p_local=p_local, u=u_proj)
+    return SolutionFields(p_local=p_local, u=u_proj, residual_flux=np.nan, residual_balance=np.nan)
 
 
 def conformity_defect(dofs: EdgeDofs, p_local: np.ndarray) -> float:
@@ -312,3 +314,23 @@ def conforming_matrices(dofs: EdgeDofs, blocks: LocalBlocks) -> tuple[sp.csr_mat
     b_rows = np.broadcast_to(np.arange(nf)[:, None], ids.shape)
     b_mat = sp.coo_matrix((b_data.ravel(), (b_rows.ravel(), ids.ravel())), shape=(nf, n_p)).tocsr()
     return a_mat, b_mat
+
+
+def rt0_condensed_blocks(corners: np.ndarray) -> np.ndarray:
+    """Closed form of the inverse rt0 saddle blocks K^{-1}, (F, 4, 4), of facets with ``corners`` (F, 3, 3).
+
+    rt0 hybridization is Crouzeix-Raviart facet by facet (Marini, SINUM
+    1985; Arnold & Brezzi, M2AN 1985): with edge i opposite vertex i and
+    n_i its outward unit conormal, K^{-1}[:3, :3] = |e_i| |e_j| n_i . n_j /
+    |T|, K^{-1}[:3, 3] = -1/3 and K^{-1}[3, 3] = -sum |e_i|^2 / (144 |T|).
+    Both conormals are their edges turned by the same right angle in the
+    facet plane, so |e_i| |e_j| n_i . n_j = e_i . e_j.
+    """
+    corners = np.asarray(corners, dtype=float)
+    edges = corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]]
+    area = 0.5 * np.linalg.norm(np.cross(edges[:, 2], -edges[:, 1]), axis=-1)
+    kinv = np.empty((len(corners), 4, 4))
+    kinv[:, :3, :3] = np.einsum("fid,fjd->fij", edges, edges) / area[:, None, None]
+    kinv[:, :3, 3] = kinv[:, 3, :3] = -1.0 / 3.0
+    kinv[:, 3, 3] = -np.einsum("fid,fid->f", edges, edges) / (144.0 * area)
+    return kinv

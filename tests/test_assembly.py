@@ -3,6 +3,7 @@
 import hashlib
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +11,6 @@ from scipy.sparse.linalg import splu
 
 import quasitrace.assembly as assembly
 from quasitrace.assembly import (
-    SolutionFields,
     assemble_local_blocks,
     build_rhs,
     condense_and_assemble,
@@ -38,7 +38,7 @@ from conftest import (
     tet_boundary_mesh,
     zero_rhs,
 )
-from oracle import closest_point, conformity_defect, conforming_matrices, to_reference
+from oracle import closest_point, conformity_defect, conforming_matrices, rt0_condensed_blocks, to_reference
 from test_elements import boundary_flux
 
 
@@ -167,6 +167,71 @@ class TestTetBoundarySystem:
         fields = solve_hybrid(condense_and_assemble(mesh, mixed_space("rt0"), zero_rhs(mesh)))
         assert np.abs(fields.u).max() < 1e-13
         assert np.abs(fields.p_local).max() < 1e-13
+
+
+def block_gap(kinv: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per facet, the largest entry difference over the largest reference entry."""
+    return np.abs(kinv - reference).max(axis=(1, 2)) / np.abs(reference).max(axis=(1, 2))
+
+
+def closed_tet(corners: np.ndarray):
+    """A facet closed into a tetrahedron by a fourth corner off its plane, as face 0."""
+    normal = np.cross(corners[1] - corners[0], corners[2] - corners[0])
+    apex = corners.mean(axis=0) - np.linalg.norm(corners[1] - corners[0]) * normal / np.linalg.norm(normal)
+    return tet_boundary_mesh(np.vstack([corners, apex]))
+
+
+class TestRt0Condensation:
+    """The shipped rt0 inverse blocks against their closed form (``oracle.rt0_condensed_blocks``).
+
+    Bounds stated before the run: 1e-12 on facets of aspect ratio at most
+    10, 5e-8 where there are needles.  The needle gap is conditioning, not
+    a formula error: the mass block of a needle has a condition number near
+    the squared aspect ratio.
+    """
+
+    REGULAR_BOUND = 1e-12
+    NEEDLE_BOUND = 5e-8
+
+    @staticmethod
+    def kinv_and_blocks(mesh):
+        system = condense_and_assemble(mesh, mixed_space("rt0"), zero_rhs(mesh))
+        return system.kinv, system.blocks
+
+    def test_sphere_meshes(self, sphere_meshes):
+        for n, mesh in sphere_meshes.items():
+            gap = block_gap(self.kinv_and_blocks(mesh)[0], rt0_condensed_blocks(mesh.corner_points())).max()
+            print(f"[rt0 condensation] sphere n = {n}: gap {gap:.2e}")
+            assert gap <= self.NEEDLE_BOUND, n
+
+    def test_regular_facets(self):
+        rng = np.random.default_rng(50)
+        meshes = [closed_tet(random_needle(rng, max_aspect=10.0)) for _ in range(300)]
+        gap = max(block_gap(self.kinv_and_blocks(m)[0], rt0_condensed_blocks(m.corner_points())).max() for m in meshes)
+        print(f"[rt0 condensation] 300 facets of aspect <= 10: gap {gap:.2e}")
+        assert gap <= self.REGULAR_BOUND
+
+    def test_needle_facets(self):
+        rng = np.random.default_rng(51)
+        gaps, forming, inverting = [], [], []
+        for _ in range(200):
+            mesh = closed_tet(random_needle(rng))
+            kinv, blocks = self.kinv_and_blocks(mesh)
+            reference = rt0_condensed_blocks(mesh.corner_points())
+            gaps.append(block_gap(kinv, reference).max())
+            # report only: the float block of the needle inverted in 50 digits
+            k = np.zeros((4, 4))
+            k[:3, :3] = blocks.mass[0]
+            k[:3, 3] = k[3, :3] = -blocks.div
+            with mpmath.workdps(50):
+                exact_inv = np.array((mpmath.matrix(k.tolist()) ** -1).tolist(), dtype=float)[None]
+            forming.append(block_gap(exact_inv, reference[:1])[0])
+            inverting.append(block_gap(kinv[:1], exact_inv)[0])
+        print(
+            f"[rt0 condensation] 200 needles of aspect <= 1e4: gap {max(gaps):.2e}; on the needle facets, "
+            f"forming A {max(forming):.2e}, inverting it {max(inverting):.2e}"
+        )
+        assert max(gaps) <= self.NEEDLE_BOUND
 
 
 @pytest.fixture(scope="module")
@@ -438,9 +503,9 @@ class TestBlockResiduals:
     def test_perturbed_solution_warns(self, kind, what, residual_cases):
         dofs, blocks, solves = residual_cases[8, kind]
         noise = np.random.default_rng(7).standard_normal(solves[what].p_local.shape)
-        fields = SolutionFields(p_local=solves[what].p_local * (1.0 + 1e-6 * noise), u=solves[what].u.copy())
+        p_local = solves[what].p_local * (1.0 + 1e-6 * noise)
         with pytest.warns(UserWarning) as caught:
-            assembly._record_residuals(fields, dofs, blocks, f"{what} system")
+            fields = assembly._checked_fields(p_local, solves[what].u.copy(), dofs, blocks, f"{what} system")
         worst = max(assembled_residuals(dofs, blocks, fields))
         assert worst > assembly.RESIDUAL_WARNING
         assert [str(w.message) for w in caught] == [

@@ -188,7 +188,7 @@ def recorded_configs(monkeypatch):
 
     def record(config):
         configs.append(config)
-        return StudyResult(report=ErrorReport(space=config.space), seconds=0.0, files=[])
+        return StudyResult(report=ErrorReport(space=config.space, records=[]), seconds=0.0, files=[])
 
     monkeypatch.setattr(cli, "run_study", record)
     return configs

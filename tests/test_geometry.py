@@ -156,9 +156,8 @@ class TestAreaRatio:
         assert area_ratio(fr) == pytest.approx(np.cos(theta), abs=1e-14)
 
     def test_rejects_nontransverse(self, sphere):
-        fr = frame_at(sphere, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            area_ratio(fr)
+        with pytest.raises(ValueError, match="not transverse"):
+            frame_at(sphere, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
 
     def test_concentric_sphere_scaling(self, sphere):
         # a facet tangent to the radius-r sphere: ratio must be 1/r^2

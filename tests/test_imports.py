@@ -3,8 +3,8 @@ and signs the vector edge moments, the geometry kernels stay in closed
 form, the facet rule is mapped onto physical points one facet block at a
 time, sparse factors, the facet maps and heap trims are made in fixed
 places, every public name has a caller in the pipeline or the benchmark,
-the package root re-exports only what the benchmark imports from it, and
-every dataclass field has a reader there."""
+the package root re-exports only what the benchmark imports from it,
+every dataclass field has a reader there, and every dataclass is frozen."""
 
 import ast
 from pathlib import Path
@@ -361,3 +361,46 @@ def test_check_sees_an_unread_field(tmp_path):
     reader.write_text("s = stats(mesh)\ns.gap = 1.0\nprint(s.size, rhs.values)\n")
     # n_edges passes on mesh.n_edges and values on rhs.values: the scan is by name
     assert unread_fields([source], [reader]) == ["Stats.gap", "Raw.unused"]
+
+
+def unfrozen_dataclasses(path: Path) -> list[str]:
+    """Top-level classes of ``path`` with a dataclass decorator that is not ``dataclass(frozen=True)``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{cls.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for deco in cls.decorator_list
+        if is_dataclass_decorator(deco)
+        and not (
+            isinstance(deco, ast.Call)
+            and any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                    for kw in deco.keywords)
+        )
+    ]
+
+
+def test_every_dataclass_is_frozen():
+    """Every record is built whole: no dataclass in the package can be written after construction."""
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in unfrozen_dataclasses(path)]
+    assert offenders == []
+
+
+def test_check_sees_an_unfrozen_dataclass(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\n"
+        "class Raw:\n"
+        "    values: object\n\n"
+        "@dataclass(eq=False)\n"
+        "class System:\n"
+        "    matrix: object\n\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Stats:\n"
+        "    h: float\n\n"
+        "class Plain:\n"
+        "    width: int\n"
+    )
+    assert unfrozen_dataclasses(source) == ["mod.py:Raw", "mod.py:System"]

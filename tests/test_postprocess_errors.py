@@ -67,13 +67,18 @@ class TestManufacturedProblem:
         assert np.abs(-lap - problem.f(x)).max() < 1e-5
 
 
+def unchecked_fields(p_local, u):
+    """Fields that no solve produced, so no residual of them is known."""
+    return SolutionFields(p_local=p_local, u=u, residual_flux=np.nan, residual_balance=np.nan)
+
+
 def affine_consistency_fields(mesh, space, direction, offset):
     """Exact data for an ambient affine scalar: facet gradients and means."""
     u_mean = project_l2(mesh, lambda x, f: x @ direction + offset)
     nu_h = mesh.face_normals
     grad = direction - (nu_h @ direction)[:, None] * nu_h
     p_local = interpolate_hdiv(mesh.corner_points(), space, lambda pts, faces: -grad[faces])
-    return SolutionFields(p_local=p_local, u=u_mean)
+    return unchecked_fields(p_local, u_mean)
 
 
 class TestPostprocessing:
@@ -113,7 +118,7 @@ class TestPostprocessing:
         fields = solve_hybrid(condense_and_assemble(mesh, space, rhs=rhs))
         star = postprocess_gradient(mesh, space, fields)
         target = 7
-        perturbed = SolutionFields(p_local=fields.p_local.copy(), u=fields.u.copy())
+        perturbed = unchecked_fields(fields.p_local.copy(), fields.u.copy())
         perturbed.p_local[target + 1 :] += 0.37
         perturbed.u[:target] -= 1.4
         star2 = postprocess_gradient(mesh, space, perturbed)
@@ -150,7 +155,7 @@ class TestErrorNorms:
             p=lambda x: np.zeros(x.shape),
             f=lambda x: np.zeros(x.shape[:-1]),
         )
-        fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
+        fields = unchecked_fields(np.zeros((mesh.n_triangles, 3)), np.zeros(mesh.n_triangles))
         star = postprocess_gradient(mesh, space, fields)
         errs = compute_errors(mesh, space, lift_exact(mesh, sphere, zero_problem), fields, u_star=star)
         assert errs.err_p == 0.0 and errs.err_u == 0.0 and errs.err_eu == 0.0 and errs.err_post == 0.0
@@ -250,7 +255,7 @@ class TestExactLift:
         exact = lift_exact(mesh, sphere, broken)
         assert isinstance(exact.exception(timeout=120), LiftFailure)
         space = mixed_space("rt0")
-        fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
+        fields = unchecked_fields(np.zeros((mesh.n_triangles, 3)), np.zeros(mesh.n_triangles))
         star = postprocess_gradient(mesh, space, fields)
         with pytest.raises(LiftFailure, match="^scalar undefined at these points$"):
             compute_errors(mesh, space, exact, fields, star)
@@ -266,7 +271,7 @@ class TestExactLift:
     def test_samples_of_another_rule_are_rejected(self, monkeypatch, sphere, problem, sphere_meshes):
         mesh = sphere_meshes[8]
         space = mixed_space("rt0")
-        fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
+        fields = unchecked_fields(np.zeros((mesh.n_triangles, 3)), np.zeros(mesh.n_triangles))
         star = postprocess_gradient(mesh, space, fields)
         exact = lift_exact(mesh, sphere, problem)
         monkeypatch.setattr(postprocess_errors, "ERROR_DEGREE", 8)
@@ -276,7 +281,7 @@ class TestExactLift:
     def test_samples_of_another_mesh_are_rejected(self, sphere, problem, sphere_meshes):
         mesh = sphere_meshes[16]
         space = mixed_space("rt0")
-        fields = SolutionFields(p_local=np.zeros((mesh.n_triangles, 3)), u=np.zeros(mesh.n_triangles))
+        fields = unchecked_fields(np.zeros((mesh.n_triangles, 3)), np.zeros(mesh.n_triangles))
         star = postprocess_gradient(mesh, space, fields)
         with pytest.raises(ValueError, match="facets"):
             compute_errors(mesh, space, lift_exact(sphere_meshes[8], sphere, problem), fields, star)

@@ -26,7 +26,7 @@ TESTS = Path(__file__).resolve().parent
 # and when its test does not exist.
 REACHED_BY_TESTS = {
     "assembly.py build_rhs: warnings.warn(": "test_assembly.py::TestRhs::test_warns_on_incompatible_source",
-    'assembly.py _record_residuals: warnings.warn(f"discrete equations satisfied only to {worst:.3e} '
+    'assembly.py _checked_fields: warnings.warn(f"discrete equations satisfied only to {worst:.3e} '
     '(ill-conditioned {what})", stacklevel=3)': "test_assembly.py::TestBlockResiduals::test_perturbed_solution_warns",
     'cli.py main: print(f"error: {exc}", file=sys.stderr)': "test_cli.py::TestMain::test_unusable_out_exits_1",
     "cli.py main: return 1": "test_cli.py::TestMain::test_unusable_out_exits_1",
