@@ -8,7 +8,7 @@ The broken mixed saddle problem is solved by hybridization: per facet the
 vector mass block A, the divergence row b and the load F form the symmetric
 indefinite block K = [[A, -b^T], [-b, 0]].  Coupling to the per-edge
 multiplier moments is a signed identity scatter whose numbering and signs
-come from ``elements.edge_dofs`` (constant moments couple with +1 on both
+come from ``edge_dofs`` in ``elements`` (constant moments couple with +1 on both
 sides of an edge, odd linear moments with the edge-direction sign), so
 static condensation reduces to gathering sign-adjusted blocks of K^{-1}.
 The condensed matrix is symmetric positive semidefinite with the constant

@@ -90,10 +90,16 @@ class StudyResult:
 
 
 def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int):
-    # Nested calls: the bulk lattice and the raw cut are freed once the mesh exists.
-    mesh = bisect_quads(
-        extract_trace_surface(build_bulk_mesh(config.box, n), surface.signed_distance), surface=surface
-    )
+    # a failure that a finer lattice or a smaller box avoids names the lattice and that remedy
+    spacing = np.ptp(np.reshape(config.box, (3, 2)), axis=1).max() / n
+    lattice = f"level {level} (n = {n}, lattice spacing {spacing:.3g})"
+    remedy = "use a larger n0 or a smaller box"
+    # The bulk lattice is freed once it is cut, the raw cut once the mesh exists.
+    raw = extract_trace_surface(build_bulk_mesh(config.box, n), surface.signed_distance)
+    if len(raw.faces) == 0:  # a lattice too coarse for the surface cuts nothing out of it
+        raise ValueError(f"{lattice}: the lattice cuts no facet out of the surface; {remedy}")
+    mesh = bisect_quads(raw, surface=surface)
+    del raw
     stats = mesh_stats(mesh, surface)
     if stats.euler_characteristic != 2:
         raise RuntimeError(f"level {level}: extracted surface is not a topological sphere")
@@ -101,9 +107,7 @@ def _run_level(config: StudyConfig, surface, problem, space, n: int, level: int)
     try:
         rhs = build_rhs(problem.f, mesh, surface)
     except ValueError as exc:  # a coarse lattice cuts facets far from the surface
-        spacing = np.ptp(np.reshape(config.box, (3, 2)), axis=1).max() / n
-        remedy = "use a larger n0 or a smaller box"
-        raise ValueError(f"level {level} (n = {n}, lattice spacing {spacing:.3g}): {exc}; {remedy}") from exc
+        raise ValueError(f"{lattice}: {exc}; {remedy}") from exc
     errors = None
     if not config.check_mesh_only:
         system = condense_and_assemble(mesh, space, rhs=rhs)

@@ -114,20 +114,16 @@ class MixedSpace:
     def __init__(self, name: str):
         self._table = GENERATOR_TABLES[name]                  # (G, 3, 2)
         self.n_dofs = len(self._table)
-        self.edge_dofs = self.n_dofs // 3
+        self.moments_per_edge = m = self.n_dofs // 3
         dof = np.empty((self.n_dofs, self.n_dofs))
         t, w = gauss_01(6)
         for e in range(3):
             pts = edge_points(e, t)
             gen = self._generators(pts)                       # (G, q, 2)
             flux = gen @ REF_EDGE_NORMALS[e]                  # (G, q)
-            m0 = REF_EDGE_LENGTHS[e] * (flux @ w)
-            if self.edge_dofs == 1:
-                dof[e] = m0
-            else:
-                m1 = REF_EDGE_LENGTHS[e] * (flux @ (w * (2.0 * t - 1.0)))
-                dof[2 * e] = m0
-                dof[2 * e + 1] = m1
+            # moment k of the edge: constant weight, then the odd weight 2t - 1
+            for k, weight in enumerate((w, w * (2.0 * t - 1.0))[:m]):
+                dof[m * e + k] = REF_EDGE_LENGTHS[e] * (flux @ weight)
         self._coeff = np.linalg.inv(dof)                      # (G, K)
 
     def _generators(self, pts: np.ndarray) -> np.ndarray:
@@ -231,7 +227,7 @@ class EdgeDofs:
 
 def edge_dofs(mesh, space: MixedSpace) -> EdgeDofs:
     """Number and sign the edge moments of ``space`` on every facet of ``mesh``."""
-    m = space.edge_dofs
+    m = space.moments_per_edge
     moment = np.tile(np.arange(m), 3)       # 0: constant weight, 1: odd weight
     sign = np.repeat(mesh.face_edge_signs, m, axis=1)
     odd = moment == 1

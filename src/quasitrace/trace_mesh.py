@@ -113,13 +113,19 @@ def build_bulk_mesh(box, n: int) -> BulkMesh:
         raise ValueError("need at least one subdivision per axis")
     if np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("degenerate bounding box")
+    # the tetrahedron diameter and the distance of the farthest lattice point
+    # from the origin, which a level function squares, must be finite
+    with np.errstate(over="ignore"):
+        h_bulk = float(np.linalg.norm((box[:, 1] - box[:, 0]) / n))
+        reach = float(np.linalg.norm(np.abs(box).max(axis=1)))
+    if not np.isfinite(h_bulk + reach):
+        raise ValueError(f"box {box.ravel().tolist()} is too large for a lattice: its squared extent overflows")
     axes = [np.linspace(lo, hi, n + 1) for lo, hi in box]
     vertices = np.empty((n + 1, n + 1, n + 1, 3))
     vertices[..., 0] = axes[0][:, None, None]
     vertices[..., 1] = axes[1][:, None]
     vertices[..., 2] = axes[2]
-    spacing = (box[:, 1] - box[:, 0]) / n
-    return BulkMesh(vertices=vertices.reshape(-1, 3), n=n, h_bulk=float(np.linalg.norm(spacing)))
+    return BulkMesh(vertices=vertices.reshape(-1, 3), n=n, h_bulk=h_bulk)
 
 
 @dataclass(frozen=True)

@@ -249,7 +249,7 @@ def interpolate_hdiv(corners: np.ndarray, space: MixedSpace, field) -> np.ndarra
     """
     corners = np.asarray(corners, dtype=float)
     t, w = gauss_01(EDGE_GAUSS_POINTS)
-    weights = np.stack([w, w * (2.0 * t - 1.0)])[: space.edge_dofs]
+    weights = np.stack([w, w * (2.0 * t - 1.0)])[: space.moments_per_edge]
     moments = np.empty((len(corners), 3, len(weights)))
     for facets in facet_slices(len(corners)):
         block = corners[facets]

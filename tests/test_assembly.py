@@ -147,7 +147,7 @@ class TestTetBoundarySystem:
         space = mixed_space(kind)
         system = condense_and_assemble(mesh, space, zero_rhs(mesh))
         constant = np.zeros(system.n_multipliers)
-        if space.edge_dofs == 1:
+        if space.moments_per_edge == 1:
             constant[:] = 1.0
         else:
             constant[0::2] = 1.0

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,26 @@ class TestMain:
     def test_non_finite_box_exits_1(self, capsys):
         assert main(["--n0", "4", "--levels", "1", "--box", "nan", "2", "-2", "2", "-2", "2", "--check-mesh-only"]) == 1
         assert capsys.readouterr().err == "error: box must be finite\n"
+
+    def test_box_too_large_for_a_lattice_exits_1(self, tmp_path, capsys):
+        """The z-spacing squared overflows: a typed error naming the box, not a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--n0", "4", "--levels", "1", "--box", "-2", "2", "-2", "2", "-2", "1e300",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: box [-2.0, 2.0, -2.0, 2.0, -2.0, 1e+300] is too large for a lattice: its squared extent overflows\n"
+        )
+
+    def test_lattice_missing_the_surface_exits_1(self, tmp_path, capsys):
+        """A z-spacing of 250.5 leaves every lattice point outside the sphere, so nothing is cut."""
+        assert main(["--n0", "4", "--levels", "1", "--box", "-2", "2", "-2", "2", "-2", "1000",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: level 0 (n = 4, lattice spacing 250): the lattice cuts no facet out of the surface; "
+            "use a larger n0 or a smaller box\n"
+        )
 
     def test_unusable_out_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -83,7 +83,7 @@ class TestUnisolvence:
         for e, (a, b) in enumerate(REF_EDGES):
             pts = (1.0 - t)[:, None] * REF_VERTICES[a] + t[:, None] * REF_VERTICES[b]
             flux = np.einsum("kqd,d->kq", space.basis(pts), REF_EDGE_NORMALS[e])
-            if space.edge_dofs == 1:
+            if space.moments_per_edge == 1:
                 dof[e] = REF_EDGE_LENGTHS[e] * (flux @ w)
             else:
                 dof[2 * e] = REF_EDGE_LENGTHS[e] * (flux @ w)
@@ -206,7 +206,7 @@ class TestInterpolation:
         edge_faces = edge_incidence(mesh)[0]
         for kind in ("rt0", "bdm1"):
             space = mixed_space(kind)
-            nd = space.edge_dofs
+            nd = space.moments_per_edge
             t, w = gauss_01(6)
             for gdof in range(nd * mesh.n_edges):
                 coeffs = np.zeros(nd * mesh.n_edges)
@@ -254,7 +254,7 @@ class TestInterpolation:
         weights = np.stack([w, w * (2.0 * t - 1.0)])
         for kind in ("rt0", "bdm1"):
             space = mixed_space(kind)
-            nd = space.edge_dofs
+            nd = space.moments_per_edge
             got = interpolate_hdiv(mesh.corner_points(), space, field)
             want = np.empty_like(got)
             for f, verts in enumerate(mesh.corner_points()):

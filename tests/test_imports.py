@@ -1,10 +1,10 @@
-"""Package structure: modules share only public names, one module numbers
-and signs the vector edge moments, the geometry kernels stay in closed
-form, the facet rule is mapped onto physical points one facet block at a
-time, sparse factors, the facet maps and heap trims are made in fixed
-places, every public name has a caller in the pipeline or the benchmark,
-the package root re-exports only what the benchmark imports from it,
-every dataclass field has a reader there, and every dataclass is frozen."""
+"""Package structure: modules share only public names, the ``CONFINED``
+table names the functions that may use each of a few names (the moments per
+edge, facet rule points, sparse factors, dense inverses and eigensolvers,
+facet maps, heap trims), every public name has a caller in the pipeline or
+the benchmark, the package root re-exports only what the benchmark imports
+from it, every dataclass field has a reader there, and every dataclass is
+frozen."""
 
 import ast
 from pathlib import Path
@@ -37,158 +37,100 @@ def test_check_sees_a_private_import(tmp_path):
     assert private_imports(source) == ["mod.py: _hidden"]
 
 
-def edge_dof_reads(path: Path) -> list[str]:
-    """Reads of an ``edge_dofs`` attribute in one source file."""
-    return [
-        f"{path.name}:{node.lineno}"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "edge_dofs"
-    ]
-
-
-def test_edge_moments_numbered_only_in_elements():
-    """Every other module indexes the moments through ``elements.edge_dofs``."""
-    offenders = [
-        hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "elements.py" for hit in edge_dof_reads(path)
-    ]
-    assert offenders == []
-
-
-def test_check_sees_an_edge_dof_read(tmp_path):
-    source = tmp_path / "mod.py"
-    source.write_text("from .elements import edge_dofs\n\nm = space.vector.edge_dofs\nd = edge_dofs(mesh, space)\n")
-    assert edge_dof_reads(source) == ["mod.py:3"]
-
-
-def dense_solver_calls(path: Path) -> list[str]:
-    """Calls of an ``inv``, ``solve`` or ``eig*`` function in one source file."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        if name in ("inv", "solve") or name.startswith("eig"):
-            found.append(f"{path.name}:{node.lineno}")
-    return found
-
-
-def test_geometry_has_no_dense_solver():
-    """The 3x3 resolvent and curvatures are closed forms."""
-    assert dense_solver_calls(PACKAGE / "geometry.py") == []
-
-
-def test_check_sees_a_dense_solver_call(tmp_path):
-    source = tmp_path / "mod.py"
-    source.write_text(
-        "import numpy as np\nfrom numpy.linalg import inv\n\n"
-        "a = np.linalg.inv(m)\nb = np.linalg.solve(m, v)\nc = np.linalg.eigh(m)\nd = inv(m)\ne = np.linalg.norm(v)\n"
-    )
-    assert dense_solver_calls(source) == ["mod.py:4", "mod.py:5", "mod.py:6", "mod.py:7"]
-
-
-# The only function that maps a facet rule onto physical points, one facet
-# block at a time.
-POINT_MAPPERS = ("point_blocks",)
-
-
-def facet_point_reads(path: Path) -> list[str]:
-    """Reads of a ``points`` or ``to_physical`` attribute outside ``POINT_MAPPERS``."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    allowed = {
-        id(node)
-        for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef) and func.name in POINT_MAPPERS
-        for node in ast.walk(func)
-    }
-    return [
-        f"{path.name}:{node.lineno}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("points", "to_physical") and id(node) not in allowed
-    ]
-
-
-def test_no_whole_mesh_facet_points():
-    """No module builds the (F, Q, 3) points of a facet rule for a whole mesh."""
-    offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in facet_point_reads(path)]
-    assert offenders == []
-
-
-def test_check_sees_a_facet_point_read(tmp_path):
-    source = tmp_path / "mod.py"
-    source.write_text(
-        "def point_blocks(mesh, ref_points):\n"
-        "    return mesh.maps[facets].to_physical(ref_points)\n\n"
-        "def mesh_stats(mesh, surface):\n"
-        "    pts, wts = triangle_rule(4)\n"
-        "    x = mesh.points\n"
-        "    y = mesh.maps.to_physical(pts)\n"
-        "    return frame_at(surface, x, mesh.face_normals).point\n"
-    )
-    assert facet_point_reads(source) == ["mod.py:6", "mod.py:7"]
-
-
-# The only functions that may call each name.  One helper factors a sparse
-# matrix (``splu``) and applies the factor (``.solve``): it factors what each
-# solve chooses, runs the refinement loop against the matrix it is given and
-# checks the result.  A mesh builds its facet maps (``from_triangles``) once,
-# with its other arrays.  One helper returns freed heap pages to the system
-# (``malloc_trim``), at the points of a level whose peak it lowers.
-FIXED_CALL_SITES = {
+# Where each name may be used: the qualified names of the functions that
+# may use it, nested functions included.  A key ending in ``*`` covers every
+# name with that prefix.
+CONFINED = {
+    # one function numbers and signs the edge moments; the others call ``edge_dofs``
+    "moments_per_edge": ("MixedSpace.__init__", "edge_dofs"),
+    # a facet rule's physical points are formed one facet block at a time
+    "points": ("point_blocks",),
+    "to_physical": ("point_blocks",),
+    # one helper factors a sparse matrix and refines with the factor, checking the result
     "splu": ("_refined_solve",),
     "solve": ("_refined_solve",),
-    "from_triangles": ("from_arrays",),
+    # dense inverses only of the dof matrix and the local blocks; the 3x3
+    # geometry kernels are closed forms, with no eigensolve anywhere
+    "inv": ("MixedSpace.__init__", "condense_and_assemble"),
+    "eig*": (),
+    # a mesh builds its facet maps once, with its other arrays
+    "from_triangles": ("TraceMesh.from_arrays",),
+    # one helper returns freed heap pages to the system
     "malloc_trim": ("release_free_memory",),
 }
 
 
-def stray_calls(path: Path) -> list[str]:
-    """Calls of a name of ``FIXED_CALL_SITES`` outside the functions it allows there."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    enclosing: dict[int, set[str]] = {}
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                enclosing.setdefault(id(node), set()).add(func.name)
+def confined_uses(path: Path) -> list[str]:
+    """Uses of a ``CONFINED`` name in one source file outside the functions its entry allows.
+
+    A use is an attribute spelled like the name or a call of the bare name.
+    """
     found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        if name in FIXED_CALL_SITES and not enclosing.get(id(node), set()) & set(FIXED_CALL_SITES[name]):
-            found.append(f"{path.name}:{node.lineno}")
+
+    def visit(node: ast.AST, qualname: str, scopes: frozenset[str]):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            qualname = f"{qualname}.{node.name}" if qualname else node.name
+            scopes |= {qualname}
+        name = node.attr if isinstance(node, ast.Attribute) else ""
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name = node.func.id
+        for key, allowed in CONFINED.items():
+            matches = name.startswith(key[:-1]) if key.endswith("*") else name == key
+            if name and matches and scopes.isdisjoint(allowed):
+                found.append(f"{path.name}:{node.lineno} {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, qualname, scopes)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "", frozenset())
     return found
 
 
-def test_factors_made_and_applied_in_fixed_places():
-    """Sparse factors are made and applied by one helper, heap trims by another, the facet maps by the mesh constructor."""
-    offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in stray_calls(path)]
+def test_confined_names_used_only_where_allowed():
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in confined_uses(path)]
     assert offenders == []
 
 
-def test_check_sees_a_stray_factor_call(tmp_path):
+def test_check_sees_a_misplaced_use(tmp_path):
+    """Each key has one use inside a function it allows, which passes, and one outside, which fails."""
     source = tmp_path / "mod.py"
     source.write_text(
-        "def solve_hybrid(system):\n"
-        "    return _refined_solve(system.matrix, system.matrix, system.rhs, 'multiplier')\n\n"
-        "def _refined_solve(matrix, factored, rhs, what, **splu_options):\n"
-        "    lu = splu(factored, **splu_options)\n"
-        "    return lu.solve(rhs)\n\n"
-        "def condense(k, b):\n"
-        "    lu = scipy.sparse.linalg.splu(k)\n"
-        "    return lu.solve(b)\n\n"
+        "class MixedSpace:\n"
+        "    def __init__(self, name):\n"
+        "        self.moments_per_edge = m = 2\n"
+        "        self._coeff = np.linalg.inv(dof)\n\n"
+        "class Frame:\n"
+        "    def __init__(self, h):\n"
+        "        self.resolvent = inv(h)\n\n"
+        "def edge_dofs(mesh, space):\n"
+        "    return space.moments_per_edge\n\n"
+        "def point_blocks(mesh, rule):\n"
+        "    return mesh.maps.to_physical(rule.points)\n\n"
+        "def _refined_solve(matrix, rhs):\n"
+        "    lu = splu(matrix)\n\n"
+        "    def refine(x):\n"
+        "        return x + lu.solve(rhs - matrix @ x)\n"
+        "    return refine(lu.solve(rhs))\n\n"
+        "def condense_and_assemble(k):\n"
+        "    return np.linalg.inv(k)\n\n"
         "class TraceMesh:\n"
         "    def from_arrays(vertices, triangles):\n"
         "        return AffineMap.from_triangles(vertices[triangles])\n\n"
-        "def mesh_stats(mesh):\n"
-        "    return AffineMap.from_triangles(mesh.corner_points())\n\n"
         "def release_free_memory():\n"
         "    malloc_trim(0)\n\n"
-        "def _lift_blocks(mesh):\n"
+        "def mesh_stats(mesh, space, rule, k):\n"
+        "    m = space.moments_per_edge\n"
+        "    x = mesh.maps.to_physical(rule.points)\n"
+        "    lu = scipy.sparse.linalg.splu(k)\n"
+        "    y = lu.solve(x)\n"
+        "    w = np.linalg.inv(k) @ np.linalg.eigh(k)[0] @ eigvals(k)\n"
+        "    maps = AffineMap.from_triangles(mesh.corner_points())\n"
         "    ctypes.CDLL(None).malloc_trim(0)\n"
     )
-    assert stray_calls(source) == ["mod.py:9", "mod.py:10", "mod.py:17", "mod.py:23"]
+    assert confined_uses(source) == [
+        "mod.py:8 inv", "mod.py:34 moments_per_edge", "mod.py:35 to_physical", "mod.py:35 points",
+        "mod.py:36 splu", "mod.py:37 solve", "mod.py:38 inv", "mod.py:38 eigh", "mod.py:38 eigvals",
+        "mod.py:39 from_triangles", "mod.py:40 malloc_trim",
+    ]
 
 
 PERFBENCH = PACKAGE.parent.parent / "perfbench"

@@ -108,6 +108,22 @@ class TestBulkMesh:
         with pytest.raises(ValueError):
             build_bulk_mesh(((0, 0), (0, 1), (0, 1)), 2)
 
+    @pytest.mark.parametrize(
+        "box, n, too_large",
+        [
+            (((-7e153, 7e153),) * 3, 4, False),
+            (((-7e153, 7e153),) * 3, 1, True),  # only the squared spacing overflows
+            (((-2.0, 3e154), (-2.0, 2.0), (-2.0, 2.0)), 4, True),  # only the farthest corner's square does
+        ],
+    )
+    def test_rejects_a_box_whose_squares_overflow(self, box, n, too_large):
+        """Rejected before any overflow warning, which tier-1 turns into an error."""
+        if too_large:
+            with pytest.raises(ValueError, match=r"^box \[.*\] is too large for a lattice"):
+                build_bulk_mesh(box, n)
+        else:
+            assert np.isfinite(build_bulk_mesh(box, n).h_bulk)
+
     def test_face_to_face_conformity(self):
         """Every interior triangular face is shared by exactly two tets."""
         bulk = build_bulk_mesh(DEFAULT_BOX, 2)
